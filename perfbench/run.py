@@ -4,7 +4,7 @@
 Builds the benchmark program (and the library it links) from the source tree
 this file sits in, then runs one workload:
 
-    python3 perfbench/run.py --workload verify_deep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload verify_deep --seed 1 --seconds 40 --trace 0
 
 Run from the repository root. The build goes to $CARGO_TARGET_DIR if set,
 else .bench_build/ at the repository root; scratch files of a run live
@@ -47,7 +47,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()

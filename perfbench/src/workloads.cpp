@@ -32,19 +32,25 @@ using glva::store::SinkKind;
 
 /// Tail percentile per workload, fixed so runs compare: the highest one
 /// that keeps at least ten samples beyond it at the operation counts a
-/// 30-second window yields on a 4-core machine (about 55 verifications,
-/// 200 ensembles, 2200 reanalyses, 6000 requests). Printed with n and the
-/// count beyond it.
+/// 40-second window yields on a 4-core machine (about 80 verifications,
+/// 250 ensembles, 550 reanalysis passes, 8000 requests). Printed with n
+/// and the count beyond it.
 double tail_percentile(const std::string& workload) {
-  if (workload == "verify_deep") return 75.0;
-  if (workload == "ensemble_spill") return 90.0;
+  if (workload == "verify_deep") return 85.0;
+  if (workload == "ensemble_spill") return 95.0;
   // serve_mixed: p99 falls where fresh requests start to queue behind
   // another fresh request on their connection (about 0.2 x 0.08 of all
   // requests at 200/s) and flipped between 9 and 27 ms over ten runs;
   // p95 lies among fresh requests that did not queue.
   if (workload == "serve_mixed") return 95.0;
-  return 99.0;
+  return 98.0;
 }
+
+/// The percentile latency_p10_ms reports. On a shared host the neighbours
+/// only ever slow an operation down, and over minutes they move the
+/// median by more than the benchmark's bound; the fastest tenth of the
+/// operations is what the program itself sets (see README.md, noise).
+constexpr double kLowPercentile = 10.0;
 
 /// Runs the set-up `repeats` times; setup_s is the median. The last
 /// repetition's state is what the timed window uses.
@@ -81,23 +87,26 @@ std::pair<std::vector<double>, double> timed_ops(double seconds, Op&& op,
 void add_end_to_end(Report& report, const std::string& workload,
                     double setup_s, const std::vector<double>& latencies_ms,
                     double samples, double wall_s, double rss_mb) {
+  const Percentile low = percentile(latencies_ms, kLowPercentile);
   const Percentile p50 = percentile(latencies_ms, 50.0);
   const Percentile tail = percentile(latencies_ms, tail_percentile(workload));
   const auto ops = static_cast<double>(latencies_ms.size());
   // The highest percentile with ten samples beyond it, for reference;
-  // latency_tail_ms keeps one fixed percentile per workload.
+  // the tail line keeps one fixed percentile per workload.
   const double n = static_cast<double>(latencies_ms.size());
   const Percentile highest =
       percentile(latencies_ms, n > 10 ? 100.0 * (1.0 - 10.0 / n) : 0.0);
-  std::cout << "latency " << describe(p50, "ms") << "\n"
+  // Median, tail and throughput follow the neighbours' load as much as
+  // the program, so they are printed but are not metrics.
+  std::cout << "latency " << describe(low, "ms") << "\n"
+            << "latency " << describe(p50, "ms") << "\n"
             << "latency tail " << describe(tail, "ms") << "\n"
             << "latency highest with ten beyond " << describe(highest, "ms")
-            << "\n";
+            << "\n"
+            << "throughput " << samples / wall_s << " samples/s, "
+            << ops / wall_s << " operations/s over " << wall_s << " s\n";
   report.add("setup_s", setup_s, "s");
-  report.add("latency_p50_ms", p50.value, "ms");
-  report.add("latency_tail_ms", tail.value, "ms");
-  report.add("samples_per_s", samples / wall_s, "1/s");
-  report.add("requests_per_s", ops / wall_s, "1/s");
+  report.add("latency_p10_ms", low.value, "ms");
   report.add("peak_rss_mb", rss_mb, "MiB");
 }
 
@@ -109,7 +118,7 @@ Report verify_deep(const Options& options) {
   std::vector<glva::app::Request> requests;
   std::vector<std::string> expected;
   bool references_match = true;
-  const double setup_s = median_setup(3, [&] {
+  const double setup_s = median_setup(5, [&] {
     const auto spec = circuit();
     glva::sim::VirtualLab lab(spec.model);
     lab.declare_inputs(spec.input_ids);
@@ -252,7 +261,7 @@ Report reanalyze_stored(const Options& options) {
 
   reset_peak_rss();
   const fs::path dir = fs::path(options.work_dir) / "stored";
-  const double setup_s = median_setup(3, [&] {
+  const double setup_s = median_setup(5, [&] {
     fs::create_directories(dir);
     for (std::size_t j = 0; j < kStoredFiles; ++j) {
       write_stored(spec, stored_file_seed(options.seed, j),
@@ -260,7 +269,9 @@ Report reanalyze_stored(const Options& options) {
     }
   });
 
-  // Seeded visiting order over every (file, threshold) pair.
+  // One operation re-analyzes every (file, threshold) pair, in a seeded
+  // order: each operation does the same work, so its latency percentiles
+  // do not fall between the pairs' different costs.
   std::vector<std::size_t> order(kStoredFiles * kPoints);
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   SeededRng rng(derive(options.seed, 400));
@@ -271,22 +282,30 @@ Report reanalyze_stored(const Options& options) {
   std::size_t samples = 0;
   const auto [latencies, wall] = timed_ops(
       options.seconds,
-      [&](std::size_t i) {
-        const std::size_t pair = order[i % order.size()];
-        return reanalyze_file(spec, stored_path(dir.string(), pair / kPoints),
-                              kThresholds[pair % kPoints], *property);
+      [&](std::size_t) {
+        std::vector<Reanalysis> pass;
+        for (const std::size_t pair : order) {
+          pass.push_back(reanalyze_file(spec,
+                                        stored_path(dir.string(), pair / kPoints),
+                                        kThresholds[pair % kPoints], *property));
+        }
+        return pass;
       },
-      [&](std::size_t i, const Reanalysis& got) {
-        const std::size_t pair = order[i % order.size()];
-        const Expected& want = expected[pair];
-        samples += got.samples;
-        report.count(render(got.extraction) == want.extraction &&
-                         got.satisfied == want.satisfied &&
-                         got.samples == want.samples,
-                     "reanalysis op " + std::to_string(i) + " (file " +
-                         std::to_string(pair / kPoints) + ", ThVAL " +
-                         glva::util::format_double(kThresholds[pair % kPoints]) +
-                         ") differs from the in-memory reference");
+      [&](std::size_t i, const std::vector<Reanalysis>& pass) {
+        for (std::size_t k = 0; k < pass.size(); ++k) {
+          const std::size_t pair = order[k];
+          const Expected& want = expected[pair];
+          const Reanalysis& got = pass[k];
+          samples += got.samples;
+          report.count(
+              render(got.extraction) == want.extraction &&
+                  got.satisfied == want.satisfied &&
+                  got.samples == want.samples,
+              "reanalysis op " + std::to_string(i) + " (file " +
+                  std::to_string(pair / kPoints) + ", ThVAL " +
+                  glva::util::format_double(kThresholds[pair % kPoints]) +
+                  ") differs from the in-memory reference");
+        }
       });
   const double rss = peak_rss_mb();
   add_end_to_end(report, options.workload, setup_s, latencies,

@@ -58,7 +58,8 @@ struct Reanalysis {
   std::size_t samples = 0;
 };
 
-/// One reanalyze_stored operation: open the file, replay it into a
+/// One reanalysis (a reanalyze_stored operation runs one per (file,
+/// threshold) pair): open the file, replay it into a
 /// DigitizingSink at `threshold`, run Algorithm 1 on the planes, and
 /// monitor `property` over them.
 [[nodiscard]] Reanalysis reanalyze_file(const glva::circuits::CircuitSpec& spec,
