@@ -2,13 +2,45 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "sbml/validate.h"
 #include "util/errors.h"
 
 namespace glva::crn {
+
+namespace {
+
+/// `law` with every symbol that `constant` resolves replaced by its value.
+math::ExprPtr bind_constants(
+    const math::ExprPtr& law,
+    const std::function<std::optional<double>(const std::string&)>& constant) {
+  using math::Expr;
+  std::vector<math::ExprPtr> children;
+  for (const auto& child : law->children()) {
+    children.push_back(bind_constants(child, constant));
+  }
+  switch (law->kind()) {
+    case Expr::Kind::kNumber:
+      return law;
+    case Expr::Kind::kSymbol: {
+      const auto value = constant(law->name());
+      return value ? Expr::number(*value) : law;
+    }
+    case Expr::Kind::kNegate:
+      return Expr::negate(children[0]);
+    case Expr::Kind::kBinary:
+      return Expr::binary(law->op(), children[0], children[1]);
+    case Expr::Kind::kCall:
+      return Expr::call(law->function(), std::move(children));
+  }
+  return law;
+}
+
+}  // namespace
 
 ReactionNetwork ReactionNetwork::compile(const sbml::Model& model) {
   sbml::validate_or_throw(model);
@@ -54,9 +86,19 @@ ReactionNetwork ReactionNetwork::compile(const sbml::Model& model) {
                             "' does not resolve");
     };
 
+    // Constant slots never change after compile(), so the law reads them
+    // as literals and only species remain symbols.
+    const auto constant = [&](const std::string& name) -> std::optional<double> {
+      const std::size_t slot = symbol_index(name);
+      if (slot < net.species_count()) return std::nullopt;
+      return net.constants_[slot - net.species_count()];
+    };
+    const math::ExprPtr law = bind_constants(r.kinetic_law.math, constant);
+
     CompiledReaction cr;
     cr.id = r.id;
-    cr.propensity = math::CompiledExpr(*r.kinetic_law.math, symbol_index);
+    cr.propensity = math::CompiledExpr(*law, symbol_index);
+    cr.kernel = Kernel::match(*law, symbol_index);
 
     // Net stoichiometry (reactants negative, products positive), folding
     // duplicate references and dropping boundary species.
@@ -151,7 +193,9 @@ double ReactionNetwork::propensity(std::size_t r,
   for (const auto& req : reaction.requirements) {
     if (values[req.species] < req.delta) return 0.0;
   }
-  const double a = reaction.propensity.evaluate(values);
+  const double a = reaction.kernel.kind() == KernelKind::kVm
+                       ? reaction.propensity.evaluate(values)
+                       : reaction.kernel.evaluate(values);
   if (!(a >= 0.0)) {  // catches negatives and NaN in one test
     throw SimulationError("reaction '" + reaction.id +
                           "' produced an invalid propensity " +

@@ -4,13 +4,21 @@
 #include <string>
 #include <vector>
 
+#include "crn/kernel.h"
 #include "math/expr.h"
 #include "sbml/model.h"
 
 /// The compiled chemical-reaction-network runtime. An SBML model is
 /// compiled once into index-based form (species indices, stoichiometry
-/// deltas, stack-machine propensity programs, and a reaction dependency
-/// graph); the stochastic simulators then run entirely on indices.
+/// deltas, propensity kernels, and a reaction dependency graph); the
+/// stochastic simulators then run entirely on indices.
+///
+/// Each kinetic law compiles to a closed-form kernel when it has one of the
+/// shapes the gate models use (mass action `c * S`, or a scaled sum of
+/// repressed Hill responses; see crn/kernel.h) and to a stack-VM program
+/// otherwise. Constants (global parameters, compartment sizes, local
+/// parameters) are folded in at compile time: propensity() reads only the
+/// species slots of `values`, never its constant slots.
 namespace glva::crn {
 
 /// One stoichiometry change applied when a reaction fires.
@@ -22,6 +30,9 @@ struct StateChange {
 /// A compiled reaction.
 struct CompiledReaction {
   std::string id;
+  /// The kinetic law as a stack-VM program with its constants bound to
+  /// literals: the fallback when no kernel matches, and the reference every
+  /// kernel reproduces bit for bit.
   math::CompiledExpr propensity;
   /// Net state changes on firing. Boundary-condition species are excluded
   /// at compile time per SBML semantics (they are externally clamped).
@@ -33,6 +44,9 @@ struct CompiledReaction {
   std::vector<StateChange> requirements;
   /// Species indices the propensity reads (ascending).
   std::vector<std::size_t> depends_on;
+  /// The closed form propensity() evaluates; kind() == KernelKind::kVm
+  /// means it runs `propensity` instead.
+  Kernel kernel;
 };
 
 /// A compiled reaction network plus its initial state layout.
@@ -89,9 +103,10 @@ public:
   /// molecules) followed by the constant slots.
   [[nodiscard]] std::vector<double> initial_values() const;
 
-  /// Evaluate the propensity of reaction `r` against `values`, returning 0
-  /// when the reactant requirements are unmet. Throws glva::SimulationError
-  /// on negative or non-finite results.
+  /// Evaluate the propensity of reaction `r` against the species slots of
+  /// `values`, returning 0 when the reactant requirements are unmet (before
+  /// any kernel runs). Throws glva::SimulationError on negative or NaN
+  /// results.
   [[nodiscard]] double propensity(std::size_t r,
                                   const std::vector<double>& values) const;
 

@@ -166,14 +166,9 @@ double apply_function(Function f, const std::vector<double>& args) {
     case Function::kCeil: return std::ceil(args[0]);
     case Function::kMin: return *std::min_element(args.begin(), args.end());
     case Function::kMax: return *std::max_element(args.begin(), args.end());
-    case Function::kHill: {
-      // hill(x, k, n) = x^n / (k^n + x^n); defined as 0 at x = 0 even for
-      // k = 0 so boundary states never produce NaN propensities.
-      const double xn = std::pow(args[0], args[2]);
-      const double kn = std::pow(args[1], args[2]);
-      const double denom = kn + xn;
-      return denom > 0.0 ? xn / denom : 0.0;
-    }
+    case Function::kHill:
+      return hill_from_powers(std::pow(args[0], args[2]),
+                              std::pow(args[1], args[2]));
   }
   return 0.0;
 }
@@ -259,7 +254,23 @@ CompiledExpr::CompiledExpr(
   std::sort(dependencies_.begin(), dependencies_.end());
   dependencies_.erase(std::unique(dependencies_.begin(), dependencies_.end()),
                       dependencies_.end());
-  stack_.reserve(program_.size());
+  // Replay the program's stack effects once to size evaluate()'s buffer.
+  std::size_t depth = 0;
+  for (const Instruction& inst : program_) {
+    switch (inst.code) {
+      case OpCode::kPushConst:
+      case OpCode::kPushVar: ++depth; break;
+      case OpCode::kNeg:
+      case OpCode::kCall1: break;
+      case OpCode::kCallN: depth -= inst.index - 1; break;
+      case OpCode::kAdd:
+      case OpCode::kSub:
+      case OpCode::kMul:
+      case OpCode::kDiv:
+      case OpCode::kPow: --depth; break;
+    }
+    max_depth_ = std::max(max_depth_, depth);
+  }
 }
 
 void CompiledExpr::compile(
@@ -308,52 +319,52 @@ void CompiledExpr::compile(
 }
 
 double CompiledExpr::evaluate(const std::vector<double>& values) const {
-  stack_.clear();
+  if (max_depth_ <= kInlineDepth) {
+    double stack[kInlineDepth] = {};
+    return run(values, stack);
+  }
+  std::vector<double> stack(max_depth_);
+  return run(values, stack.data());
+}
+
+double CompiledExpr::run(const std::vector<double>& values,
+                         double* stack) const {
+  std::size_t n = 0;  // operands on the stack
   for (const Instruction& inst : program_) {
     switch (inst.code) {
       case OpCode::kPushConst:
-        stack_.push_back(constants_[inst.index]);
+        stack[n++] = constants_[inst.index];
         break;
       case OpCode::kPushVar:
-        stack_.push_back(values[inst.index]);
+        stack[n++] = values[inst.index];
         break;
       case OpCode::kNeg:
-        stack_.back() = -stack_.back();
+        stack[n - 1] = -stack[n - 1];
         break;
-      case OpCode::kAdd: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() += b;
+      case OpCode::kAdd:
+        --n;
+        stack[n - 1] += stack[n];
         break;
-      }
-      case OpCode::kSub: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() -= b;
+      case OpCode::kSub:
+        --n;
+        stack[n - 1] -= stack[n];
         break;
-      }
-      case OpCode::kMul: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() *= b;
+      case OpCode::kMul:
+        --n;
+        stack[n - 1] *= stack[n];
         break;
-      }
-      case OpCode::kDiv: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() /= b;
+      case OpCode::kDiv:
+        --n;
+        stack[n - 1] /= stack[n];
         break;
-      }
-      case OpCode::kPow: {
-        const double b = stack_.back();
-        stack_.pop_back();
-        stack_.back() = std::pow(stack_.back(), b);
+      case OpCode::kPow:
+        --n;
+        stack[n - 1] = std::pow(stack[n - 1], stack[n]);
         break;
-      }
       case OpCode::kCall1: {
         // Inline unary dispatch: this path runs per SSA step, so it must not
         // allocate.
-        double& x = stack_.back();
+        double& x = stack[n - 1];
         switch (inst.aux) {
           case Function::kExp: x = std::exp(x); break;
           case Function::kLn: x = std::log(x); break;
@@ -368,30 +379,22 @@ double CompiledExpr::evaluate(const std::vector<double>& values) const {
       }
       case OpCode::kCallN: {
         const std::size_t argc = inst.index;
-        double result = 0.0;
+        n -= argc - 1;
+        double* args = stack + (n - 1);  // the result replaces args[0]
         if (inst.aux == Function::kHill) {
-          const double n = stack_[stack_.size() - 1];
-          const double k = stack_[stack_.size() - 2];
-          const double x = stack_[stack_.size() - 3];
-          const double xn = std::pow(x, n);
-          const double kn = std::pow(k, n);
-          const double denom = kn + xn;
-          result = denom > 0.0 ? xn / denom : 0.0;
+          args[0] = hill_from_powers(std::pow(args[0], args[2]),
+                                     std::pow(args[1], args[2]));
         } else {
-          result = stack_[stack_.size() - argc];
           for (std::size_t i = 1; i < argc; ++i) {
-            const double v = stack_[stack_.size() - argc + i];
-            result = inst.aux == Function::kMin ? std::min(result, v)
-                                                : std::max(result, v);
+            args[0] = inst.aux == Function::kMin ? std::min(args[0], args[i])
+                                                 : std::max(args[0], args[i]);
           }
         }
-        stack_.resize(stack_.size() - argc);
-        stack_.push_back(result);
         break;
       }
     }
   }
-  return stack_.empty() ? 0.0 : stack_.back();
+  return n == 0 ? 0.0 : stack[n - 1];
 }
 
 }  // namespace glva::math

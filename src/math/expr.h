@@ -7,7 +7,8 @@
 #include <vector>
 
 /// Arithmetic expression trees for SBML kinetic laws, plus a compiled
-/// stack-machine form used in the stochastic simulator's propensity loop.
+/// stack-machine form: the propensity evaluator for laws without a
+/// closed-form crn/ kernel, and the reference those kernels reproduce.
 namespace glva::math {
 
 class Expr;
@@ -32,6 +33,15 @@ enum class Function {
 
 /// Name of a function as written in the infix syntax ("exp", "hill", ...).
 [[nodiscard]] const char* function_name(Function f) noexcept;
+
+/// hill(x, k, n) from its powers xn = x^n and kn = k^n: xn / (kn + xn),
+/// defined as 0 when the denominator is not positive (x = 0 with k = 0) so
+/// boundary states never produce NaN propensities. Every evaluator of
+/// hill() goes through this one definition, so they agree bit for bit.
+[[nodiscard]] inline double hill_from_powers(double xn, double kn) noexcept {
+  const double denom = kn + xn;
+  return denom > 0.0 ? xn / denom : 0.0;
+}
 
 /// An immutable expression node. Construct via the factory functions; share
 /// freely (nodes are value-semantics constants).
@@ -93,9 +103,8 @@ using Environment = std::map<std::string, double, std::less<>>;
 [[nodiscard]] double evaluate(const Expr& expr, const Environment& env);
 
 /// An expression compiled against a fixed symbol table, evaluated against a
-/// dense value vector. This is the hot path: the SSA evaluates propensities
-/// millions of times per run, so symbol lookups are resolved to indices
-/// once, at compile time.
+/// dense value vector. The SSA may evaluate it millions of times per run,
+/// so symbol lookups are resolved to indices once, at compile time.
 class CompiledExpr {
 public:
   /// `symbol_index(name)` must return the index of `name` in the value
@@ -106,7 +115,9 @@ public:
   CompiledExpr() = default;
 
   /// Evaluate against `values`, where `values[i]` binds the symbol that
-  /// compiled to index i. No allocation; reuses an internal stack.
+  /// compiled to index i. Reentrant: the operand stack lives on the
+  /// caller's stack (on the heap only for programs deeper than
+  /// kInlineDepth), so one CompiledExpr may be evaluated from many threads.
   [[nodiscard]] double evaluate(const std::vector<double>& values) const;
 
   /// Indices of all symbols the expression reads (sorted, unique) — used to
@@ -134,13 +145,16 @@ private:
     Function aux = Function::kExp;
   };
 
+  static constexpr std::size_t kInlineDepth = 32;
+
   void compile(const Expr& expr,
                const std::function<std::size_t(const std::string&)>& symbol_index);
+  double run(const std::vector<double>& values, double* stack) const;
 
   std::vector<Instruction> program_;
   std::vector<double> constants_;
   std::vector<std::size_t> dependencies_;
-  mutable std::vector<double> stack_;
+  std::size_t max_depth_ = 0;  // operand-stack high-water mark of program_
 };
 
 }  // namespace glva::math

@@ -153,6 +153,16 @@ TEST(CompiledExpr, TracksDependencies) {
   EXPECT_EQ(compiled.dependencies(), (std::vector<std::size_t>{0, 1}));
 }
 
+TEST(CompiledExpr, DeepProgramsEvaluate) {
+  // Right-nested sums keep every left operand on the stack: depth 41, past
+  // the inline buffer, so evaluation takes the heap-buffer path.
+  std::string text = "x";
+  for (int i = 0; i < 40; ++i) text = "1 + (" + text + ")";
+  const auto index = [](const std::string&) -> std::size_t { return 0; };
+  const CompiledExpr compiled(*parse_expression(text), index);
+  EXPECT_DOUBLE_EQ(compiled.evaluate({0.5}), 40.5);
+}
+
 TEST(CompiledExpr, UnknownSymbolFailsAtCompileTime) {
   const auto index = [](const std::string&) -> std::size_t {
     throw glva::InvalidArgument("nope");
