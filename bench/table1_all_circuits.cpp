@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   cli.add_option("threshold", "15", "ThVAL (molecules); inputs applied at it");
   cli.add_option("fov-ud", "0.25", "FOV_UD acceptable variation fraction");
   cli.add_option("seed", "1", "simulation seed");
-  cli.add_option("method", "direct", "SSA: direct | next-reaction | tau-leap");
   cli.add_option("csv", "", "optional path for CSV output");
   cli.add_option("jobs", "0",
                  "worker threads (0 = one per hardware thread); results are "
@@ -50,12 +49,11 @@ int main(int argc, char** argv) {
   config.threshold = cli.get_double("threshold");
   config.fov_ud = cli.get_double("fov-ud");
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.method = sim::parse_ssa_method(cli.get("method"));
 
   std::cout << "=== 15-circuit study (paper Section III) ===\n"
             << "total_time " << config.total_time << ", ThVAL "
-            << config.threshold << ", FOV_UD " << config.fov_ud << ", SSA "
-            << cli.get("method") << "\n\n";
+            << config.threshold << ", FOV_UD " << config.fov_ud
+            << ", SSA direct\n\n";
 
   std::vector<std::string> headers = {"circuit", "in",      "gates",
                                       "parts",   "expression", "PFoBE %",

@@ -26,7 +26,7 @@ int main() {
   std::cout << "black-box circuit with inputs A, B, C — discovering its logic"
             << "\n\n";
 
-  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 7, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 7});
   lab.declare_inputs(spec.input_ids);
   // A longer sweep tightens intermediate-stage statistics: deep stages see
   // the stimulus only after several propagation delays.

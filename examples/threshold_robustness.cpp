@@ -23,7 +23,7 @@ int main() {
 
   // Step 1: estimate the logic threshold from a saturating probe sweep
   // (inputs at 30 molecules — comfortably past every gate's half-point).
-  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 11, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 11});
   lab.declare_inputs(spec.input_ids);
   const auto threshold_info =
       timing::estimate_threshold(lab, spec.output_id, 30.0, 10000.0);

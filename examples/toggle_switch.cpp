@@ -27,7 +27,7 @@ namespace {
 core::ExtractionResult analyze_with_order(
     const sbml::Model& model, const std::vector<std::string>& inputs,
     const std::vector<std::size_t>& combo_order) {
-  sim::VirtualLab lab(model, sim::LabOptions{1.0, 21, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(model, sim::LabOptions{1.0, 21});
   lab.declare_inputs(inputs);
 
   // Hand-built schedule visiting combinations in the given order.
@@ -76,7 +76,7 @@ int main() {
   std::cout << "=== repressilator: oscillation defeats the settling "
                "assumption ===\n\n";
   const auto osc = circuits::repressilator_model();
-  sim::VirtualLab lab(osc, sim::LabOptions{1.0, 22, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(osc, sim::LabOptions{1.0, 22});
   lab.declare_inputs({"dummy_in"});
   const auto sweep = lab.run_combination_sweep(10000.0, 15.0);
   const core::LogicAnalyzer analyzer(core::AnalyzerConfig{15.0, 0.25});

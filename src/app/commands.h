@@ -26,12 +26,12 @@
 ///   version                               build + SIMD tier report
 ///
 /// Shared analysis options: --threshold, --fov-ud, --total-time,
-/// --sampling-period, --seed, --method (direct|next-reaction|tau-leap),
-/// --backend (packed|reference), --sink (mem|spill|digitize),
-/// --spill-dir <dir>, --csv <path>, --no-timings. The sink selects trace
-/// storage (in-memory trace, chunked .glvt spill files, or fused
-/// sampler→ADC digitization — see docs/STORAGE.md); results are
-/// bit-identical for every sink.
+/// --sampling-period, --seed, --backend (packed|reference),
+/// --sink (mem|spill|digitize), --spill-dir <dir>, --csv <path>,
+/// --no-timings. Every run simulates with Gillespie's direct method, the
+/// paper's exact SSA. The sink selects trace storage (in-memory trace,
+/// chunked .glvt spill files, or fused sampler→ADC digitization — see
+/// docs/STORAGE.md); results are bit-identical for every sink.
 ///
 /// The analysis subcommands (analyze/verify/ensemble/sweep) parse into an
 /// app::Request and run through app::execute — the same path the daemon

@@ -24,7 +24,6 @@ sim::VirtualLab make_lab(const circuits::CircuitSpec& spec,
   sim::LabOptions lab_options;
   lab_options.sampling_period = config.sampling_period;
   lab_options.seed = config.seed;
-  lab_options.method = config.method;
 
   sim::VirtualLab lab(spec.model, lab_options);
   lab.declare_inputs(spec.input_ids);

@@ -9,7 +9,6 @@
 #include "exec/parallel_runner.h"
 #include "core/logic_analyzer.h"
 #include "core/verifier.h"
-#include "sim/simulator.h"
 #include "sim/virtual_lab.h"
 #include "store/trace_sink.h"
 
@@ -30,7 +29,6 @@ struct ExperimentConfig {
   double input_high_level = -1.0;
   double sampling_period = 1.0;  ///< trace grid, time units per sample
   std::uint64_t seed = 1;        ///< RNG seed; equal seeds reproduce runs
-  sim::SsaMethod method = sim::SsaMethod::kDirect;
   /// Analysis-stage representation (bit-packed vs reference vector<bool>);
   /// results are bit-identical either way — see AnalysisBackend.
   AnalysisBackend backend = AnalysisBackend::kPacked;

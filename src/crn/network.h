@@ -11,7 +11,7 @@
 /// The compiled chemical-reaction-network runtime. An SBML model is
 /// compiled once into index-based form (species indices, stoichiometry
 /// deltas, propensity kernels, and a reaction dependency graph); the
-/// stochastic simulators then run entirely on indices.
+/// stochastic simulator then runs entirely on indices.
 ///
 /// Each kinetic law compiles to a closed-form kernel when it has one of the
 /// shapes the gate models use (mass action `c * S`, or a scaled sum of
@@ -85,8 +85,8 @@ public:
   }
 
   /// Reactions whose propensity may change when reaction `r` fires
-  /// (including `r` itself when self-affecting). Drives both the direct
-  /// method's selective update and the next-reaction method.
+  /// (including `r` itself when self-affecting). Drives the direct
+  /// method's selective propensity update.
   [[nodiscard]] const std::vector<std::size_t>& affected_reactions(
       std::size_t r) const {
     return affects_[r];

@@ -70,25 +70,6 @@ double Rng::normal() noexcept {
   return u * factor;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: multiply uniforms until below exp(-mean).
-    const double limit = std::exp(-mean);
-    double product = 1.0;
-    std::uint64_t count = 0;
-    for (;;) {
-      product *= uniform_positive();
-      if (product <= limit) return count;
-      ++count;
-    }
-  }
-  // Normal approximation with continuity correction; adequate for
-  // tau-leaping where per-step channel means are moderate.
-  const double sample = mean + std::sqrt(mean) * normal() + 0.5;
-  return sample <= 0.0 ? 0 : static_cast<std::uint64_t>(sample);
-}
-
 std::uint64_t Rng::below(std::uint64_t bound) noexcept {
   if (bound == 0) return 0;
   // Rejection to remove modulo bias.

@@ -3,7 +3,7 @@
 #include <cstdint>
 
 /// Deterministic pseudo-random number generation for the stochastic
-/// simulators. GLVA ships its own generator (xoshiro256**, public domain,
+/// simulator. GLVA ships its own generator (xoshiro256**, public domain,
 /// Blackman & Vigna) so simulation results are bit-reproducible across
 /// platforms and standard-library versions — std::mt19937 distributions are
 /// not portable across implementations.
@@ -35,10 +35,6 @@ public:
 
   /// Standard normal via Marsaglia polar method.
   [[nodiscard]] double normal() noexcept;
-
-  /// Poisson with the given mean: Knuth multiplication for small means,
-  /// rounded-normal approximation for large ones (used by tau-leaping).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
 
   /// Uniform integer in [0, bound) via Lemire's multiply-shift rejection.
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;

@@ -1,10 +1,9 @@
 #include "sim/simulator.h"
 
-#include <cmath>
+#include <algorithm>
 
-#include "sim/ssa_direct.h"
-#include "sim/ssa_next_reaction.h"
-#include "sim/ssa_tau_leap.h"
+#include "obs/metrics.h"
+#include "sim/rng.h"
 #include "store/memory_sink.h"
 #include "store/trace_sink.h"
 #include "util/errors.h"
@@ -66,19 +65,84 @@ void TraceSampler::finish(double t_end, const std::vector<double>& values) {
   sink_->finish();
 }
 
-Trace StochasticSimulator::run(const crn::ReactionNetwork& network,
-                               const InputSchedule& schedule, double duration,
-                               const SimulationOptions& options) const {
+namespace {
+
+/// Advance `values` from `t_begin` to `t_end` with no clamp changes,
+/// reporting state to `sampler` before each event.
+void simulate_interval(const crn::ReactionNetwork& network,
+                       std::vector<double>& values, double t_begin,
+                       double t_end, Rng& rng, TraceSampler& sampler) {
+  const std::size_t m = network.reaction_count();
+  std::vector<double> propensities(m);
+  double total = 0.0;
+  for (std::size_t r = 0; r < m; ++r) {
+    propensities[r] = network.propensity(r, values);
+    total += propensities[r];
+  }
+
+  double t = t_begin;
+  std::size_t steps_since_resum = 0;
+  std::uint64_t local_steps = 0;
+  constexpr std::size_t kResumInterval = 8192;
+
+  while (total > 0.0) {
+    const double tau = rng.exponential(total);
+    if (t + tau >= t_end) break;  // state holds through the interval end
+    t += tau;
+    sampler.advance_before(t, values);
+
+    // Select reaction j with probability propensities[j] / total.
+    double target = rng.uniform() * total;
+    std::size_t j = 0;
+    for (; j + 1 < m; ++j) {
+      if (target < propensities[j]) break;
+      target -= propensities[j];
+    }
+    network.fire(j, values);
+    ++local_steps;
+
+    // Update only the reactions whose propensity can have changed.
+    for (std::size_t affected : network.affected_reactions(j)) {
+      const double fresh = network.propensity(affected, values);
+      total += fresh - propensities[affected];
+      propensities[affected] = fresh;
+    }
+
+    if (++steps_since_resum >= kResumInterval) {
+      // Re-sum to cancel accumulated floating-point drift.
+      total = 0.0;
+      for (std::size_t r = 0; r < m; ++r) total += propensities[r];
+      steps_since_resum = 0;
+    }
+    if (total < 0.0) total = 0.0;
+  }
+  sampler.advance_before(t_end, values);
+
+  // One registry write per interval, not per event: the SSA inner loop
+  // stays untouched by instrumentation (the direct method fires exactly
+  // one reaction per step).
+  if (local_steps > 0) {
+    static obs::Counter& steps = obs::counter("sim.ssa.steps");
+    static obs::Counter& firings = obs::counter("sim.ssa.firings");
+    steps.add(local_steps);
+    firings.add(local_steps);
+  }
+}
+
+}  // namespace
+
+Trace DirectMethod::run(const crn::ReactionNetwork& network,
+                        const InputSchedule& schedule, double duration,
+                        const SimulationOptions& options) const {
   store::MemorySink sink;
   run_into(network, schedule, duration, options, sink);
   return sink.take();
 }
 
-void StochasticSimulator::run_into(const crn::ReactionNetwork& network,
-                                   const InputSchedule& schedule,
-                                   double duration,
-                                   const SimulationOptions& options,
-                                   store::TraceSink& sink) const {
+void DirectMethod::run_into(const crn::ReactionNetwork& network,
+                            const InputSchedule& schedule, double duration,
+                            const SimulationOptions& options,
+                            store::TraceSink& sink) const {
   if (duration <= 0.0) {
     throw InvalidArgument("simulation duration must be positive");
   }
@@ -122,26 +186,6 @@ void StochasticSimulator::run_into(const crn::ReactionNetwork& network,
     ++phase;
   }
   sampler.finish(duration, values);
-}
-
-std::unique_ptr<StochasticSimulator> make_simulator(SsaMethod method) {
-  switch (method) {
-    case SsaMethod::kDirect:
-      return std::make_unique<DirectMethod>();
-    case SsaMethod::kNextReaction:
-      return std::make_unique<NextReactionMethod>();
-    case SsaMethod::kTauLeap:
-      return std::make_unique<TauLeaping>();
-  }
-  throw InvalidArgument("unknown SSA method");
-}
-
-SsaMethod parse_ssa_method(const std::string& name) {
-  if (name == "direct") return SsaMethod::kDirect;
-  if (name == "next-reaction" || name == "nrm") return SsaMethod::kNextReaction;
-  if (name == "tau-leap" || name == "tau") return SsaMethod::kTauLeap;
-  throw InvalidArgument("unknown SSA method '" + name +
-                        "' (expected direct | next-reaction | tau-leap)");
 }
 
 }  // namespace glva::sim

@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "crn/network.h"
 #include "sim/input_schedule.h"
-#include "sim/rng.h"
 #include "sim/trace.h"
 
 namespace glva::store {
@@ -16,19 +13,19 @@ class TraceSink;
 
 namespace glva::sim {
 
-/// Knobs shared by every simulation algorithm.
+/// Per-run simulation settings.
 struct SimulationOptions {
   /// Trace sampling period (time units per recorded row). The paper samples
   /// once per time unit over 10,000-unit runs.
   double sampling_period = 1.0;
-  /// RNG seed; equal seeds give bit-identical traces for a given algorithm.
+  /// RNG seed; equal seeds give bit-identical traces.
   std::uint64_t seed = 1;
 };
 
 /// Records zero-order-hold samples of the state on a uniform time grid.
-/// Kernels call advance_before(t, values) immediately *before* applying an
-/// event at time t, so every grid point in [previous event, t) carries the
-/// state that was live across it.
+/// The simulator calls advance_before(t, values) immediately *before*
+/// applying an event at time t, so every grid point in [previous event, t)
+/// carries the state that was live across it.
 ///
 /// Samples stream into a `store::TraceSink` (begin() is called here with
 /// the network's species names; finish(t_end, ...) seals the sink) — where
@@ -38,7 +35,7 @@ struct SimulationOptions {
 /// live simulation and `SpillReader::replay` drive sinks through one block
 /// contract; the delivered samples are bit-identical to the historical
 /// row-at-a-time stream. The historical "materialize a Trace" behaviour is
-/// a `store::MemorySink` behind `StochasticSimulator::run`.
+/// a `store::MemorySink` behind `DirectMethod::run`.
 ///
 /// Grid contract: row k's time is computed as exactly
 /// `static_cast<double>(k) * sampling_period` (one multiply from the
@@ -80,16 +77,16 @@ private:
   std::vector<std::span<const double>> block_view_;  // scratch for flushes
 };
 
-/// Interface of the exact/approximate stochastic simulation algorithms.
-/// A simulator is stateless between runs; all mutable state lives on the
-/// stack of run(), so one instance can serve many (sequential) runs.
-class StochasticSimulator {
+/// Gillespie's direct method (exact SSA) [Gillespie 1977], the algorithm
+/// the paper's methodology relies on for trace generation and GLVA's only
+/// simulator. Propensities of only the affected reactions are recomputed
+/// after each firing, with a periodic full re-summation to bound
+/// floating-point drift in the running total.
+///
+/// Stateless between runs; all mutable state lives on the stack of run(),
+/// so one instance can serve many (sequential) runs.
+class DirectMethod {
 public:
-  virtual ~StochasticSimulator() = default;
-
-  /// Human-readable algorithm name ("direct", "next-reaction", ...).
-  [[nodiscard]] virtual std::string name() const = 0;
-
   /// Simulate `network` over [0, duration]: start from the network's
   /// initial values, clamp the schedule's input species at each phase
   /// boundary, and record every species at the sampling grid.
@@ -109,25 +106,6 @@ public:
                 const InputSchedule& schedule, double duration,
                 const SimulationOptions& options,
                 store::TraceSink& sink) const;
-
-protected:
-  /// Advance `values` from `t_begin` to `t_end` with no clamp changes,
-  /// reporting state to `sampler` before each event. Implemented by each
-  /// algorithm.
-  virtual void simulate_interval(const crn::ReactionNetwork& network,
-                                 std::vector<double>& values, double t_begin,
-                                 double t_end, Rng& rng,
-                                 TraceSampler& sampler) const = 0;
 };
-
-/// Algorithm registry (for CLI/bench selection by name).
-enum class SsaMethod { kDirect, kNextReaction, kTauLeap };
-
-/// Construct a simulator by method.
-[[nodiscard]] std::unique_ptr<StochasticSimulator> make_simulator(SsaMethod method);
-
-/// Parse "direct" / "next-reaction" / "tau-leap"; throws
-/// glva::InvalidArgument otherwise.
-[[nodiscard]] SsaMethod parse_ssa_method(const std::string& name);
 
 }  // namespace glva::sim

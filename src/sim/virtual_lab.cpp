@@ -1,6 +1,7 @@
 #include "sim/virtual_lab.h"
 
 #include "sbml/validate.h"
+#include "store/memory_sink.h"
 #include "util/errors.h"
 
 namespace glva::sim {
@@ -30,20 +31,17 @@ const crn::ReactionNetwork& VirtualLab::network() {
 }
 
 Trace VirtualLab::run(const InputSchedule& schedule, double duration) {
-  const auto simulator = make_simulator(options_.method);
-  SimulationOptions sim_options;
-  sim_options.sampling_period = options_.sampling_period;
-  sim_options.seed = options_.seed;
-  return simulator->run(network(), schedule, duration, sim_options);
+  store::MemorySink sink;
+  run_into(schedule, duration, sink);
+  return sink.take();
 }
 
 void VirtualLab::run_into(const InputSchedule& schedule, double duration,
                           store::TraceSink& sink) {
-  const auto simulator = make_simulator(options_.method);
   SimulationOptions sim_options;
   sim_options.sampling_period = options_.sampling_period;
   sim_options.seed = options_.seed;
-  simulator->run_into(network(), schedule, duration, sim_options, sink);
+  DirectMethod().run_into(network(), schedule, duration, sim_options, sink);
 }
 
 SweepResult VirtualLab::run_combination_sweep(double total_time,

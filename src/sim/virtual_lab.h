@@ -15,16 +15,15 @@
 /// The virtual-laboratory runtime: GLVA's substitute for D-VASim
 /// [Baig & Madsen, Bioinformatics 2016]. It owns an SBML model, lets the
 /// user declare which species are externally triggered inputs, and runs
-/// stimulus programs against the stochastic simulators, logging all species
+/// stimulus programs through Gillespie's direct method, logging all species
 /// traces — exactly the workflow the DATE'17 methodology drives through
 /// D-VASim's GUI.
 namespace glva::sim {
 
 /// Lab-wide settings.
 struct LabOptions {
-  double sampling_period = 1.0;          ///< trace grid, time units
-  std::uint64_t seed = 1;                ///< RNG seed for reproducible runs
-  SsaMethod method = SsaMethod::kDirect; ///< simulation algorithm
+  double sampling_period = 1.0;  ///< trace grid, time units
+  std::uint64_t seed = 1;        ///< RNG seed for reproducible runs
 };
 
 /// A completed input-combination sweep: the stitched trace plus the

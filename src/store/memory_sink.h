@@ -6,7 +6,7 @@
 namespace glva::store {
 
 /// The reference sink: materialize every row into a `sim::Trace`, exactly
-/// as the pre-streaming simulator did. `run(...)` on every simulator is a
+/// as the pre-streaming simulator did. `sim::DirectMethod::run(...)` is a
 /// thin wrapper over this sink, so the memory path and the historical
 /// "return a Trace" contract are one and the same — bit-identical by
 /// construction, and the baseline the spill and digitizing sinks are

@@ -5,7 +5,7 @@
 #include <vector>
 
 /// Streaming trace storage — the bounded-memory I/O layer between the
-/// stochastic simulators and everything that consumes their samples. The
+/// stochastic simulator and everything that consumes its samples. The
 /// simulator no longer has to materialize a full `sim::Trace` before the
 /// analysis stage sees a single sample: `sim::TraceSampler` pushes every
 /// grid row into a `TraceSink`, and the sink decides what to keep —

@@ -1,7 +1,7 @@
 // Integration tests: the full pipeline (circuit -> SSA sweep -> Algorithm 1
 // -> verification) on the paper's 15-circuit benchmark, plus cross-cutting
-// end-to-end properties (SBML round trips, simulator equivalence, threshold
-// degradation, the Figure 2 XNOR trap).
+// end-to-end properties (SBML round trips, threshold degradation, the
+// Figure 2 XNOR trap).
 
 #include <gtest/gtest.h>
 
@@ -75,31 +75,6 @@ TEST_P(SeedRobustness, HeadlineCircuitsMatchAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedRobustness,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
-
-// ------------------------------------------------------- cross-simulator --
-
-TEST(Integration, ExactSimulatorsAgreeOnExtractedLogic) {
-  for (const char* name : {"myers_and", "0x1C", "0x8"}) {
-    const auto spec = CircuitRepository::build(name);
-    core::ExperimentConfig config;
-    config.method = sim::SsaMethod::kDirect;
-    const auto direct = core::run_experiment(spec, config);
-    config.method = sim::SsaMethod::kNextReaction;
-    const auto nrm = core::run_experiment(spec, config);
-    EXPECT_EQ(direct.extraction.extracted(), nrm.extraction.extracted())
-        << name;
-    EXPECT_TRUE(nrm.verification.matches) << name;
-  }
-}
-
-TEST(Integration, TauLeapingRecoversLogicOnSimpleCircuits) {
-  const auto spec = CircuitRepository::build("myers_nor");
-  core::ExperimentConfig config;
-  config.method = sim::SsaMethod::kTauLeap;
-  const auto result = core::run_experiment(spec, config);
-  EXPECT_TRUE(result.verification.matches)
-      << result.extraction.expression();
-}
 
 // ------------------------------------------------------- two-stage models --
 

@@ -25,7 +25,7 @@ TEST(ToggleSwitch, HoldsStateWithoutInputs) {
   // Latched on the U side, with no inducers the latch must stay put for a
   // long time (bistability): GFP stays high throughout.
   auto model = circuits::toggle_switch_model();
-  sim::VirtualLab lab(model, sim::LabOptions{1.0, 4, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(model, sim::LabOptions{1.0, 4});
   lab.declare_inputs({"S_set", "S_reset"});
   const auto trace = lab.run_constant({0.0, 0.0}, 5000.0);
   const auto& gfp = trace.series("GFP");
@@ -36,7 +36,7 @@ TEST(ToggleSwitch, HoldsStateWithoutInputs) {
 
 TEST(ToggleSwitch, SetPulseFlipsTheLatch) {
   auto model = circuits::toggle_switch_model();
-  sim::VirtualLab lab(model, sim::LabOptions{1.0, 5, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(model, sim::LabOptions{1.0, 5});
   lab.declare_inputs({"S_set", "S_reset"});
   // Pulse S_set for 1500 tu (forces U down), then release and watch.
   sim::InputSchedule schedule(std::vector<std::string>{"S_set", "S_reset"});
@@ -56,7 +56,7 @@ TEST(ToggleSwitch, ExtractionDependsOnSweepOrder) {
   const core::LogicAnalyzer analyzer(core::AnalyzerConfig{15.0, 0.25});
 
   const auto run_order = [&](const std::vector<std::size_t>& order) {
-    sim::VirtualLab lab(model, sim::LabOptions{1.0, 6, sim::SsaMethod::kDirect});
+    sim::VirtualLab lab(model, sim::LabOptions{1.0, 6});
     lab.declare_inputs(inputs);
     sim::InputSchedule schedule(inputs);
     const double hold = 10000.0 / static_cast<double>(order.size());
@@ -81,7 +81,7 @@ TEST(Repressilator, ModelValidatesAndOscillates) {
   const auto model = circuits::repressilator_model();
   EXPECT_TRUE(sbml::is_valid(sbml::validate(model)));
 
-  sim::VirtualLab lab(model, sim::LabOptions{1.0, 7, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(model, sim::LabOptions{1.0, 7});
   lab.declare_inputs({"dummy_in"});
   const auto trace = lab.run_constant({0.0}, 8000.0);
   const auto& gfp = trace.series("GFP");
@@ -101,7 +101,7 @@ TEST(Repressilator, ModelValidatesAndOscillates) {
 
 TEST(Repressilator, AnalyzerFlagsNonCombinationalBehaviour) {
   const auto model = circuits::repressilator_model();
-  sim::VirtualLab lab(model, sim::LabOptions{1.0, 8, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(model, sim::LabOptions{1.0, 8});
   lab.declare_inputs({"dummy_in"});
   const auto sweep = lab.run_combination_sweep(10000.0, 15.0);
   const core::LogicAnalyzer analyzer(core::AnalyzerConfig{15.0, 0.25});

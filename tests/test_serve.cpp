@@ -183,9 +183,9 @@ TEST(WireSchema, FlattensOptionObjects) {
   const WireRequest wire = glva::serve::parse_wire_request(
       glva::serve::parse_json("{\"op\":\"ensemble\",\"target\":\"0x1\","
                               "\"options\":{\"seed\":42,\"two-stage\":true,"
-                              "\"redigitize\":false,\"method\":\"direct\"}}"));
+                              "\"redigitize\":false,\"sink\":\"digitize\"}}"));
   const std::vector<std::string> expected = {"--seed", "42", "--two-stage",
-                                             "--method", "direct"};
+                                             "--sink", "digitize"};
   EXPECT_EQ(wire.options, expected);
 }
 
@@ -220,9 +220,9 @@ Request make_request(const std::vector<std::string>& options,
 TEST(CanonicalKey, FlagOrderAndSpelledDefaultsHashIdentically) {
   const Request terse = make_request({"--seed", "7"});
   const Request spelled = make_request(
-      {"--threshold", "15", "--method", "direct", "--seed", "7",
-       "--backend", "packed", "--fov-ud", "0.25", "--sink", "mem",
-       "--total-time", "10000", "--sampling-period", "1"});
+      {"--threshold", "15", "--seed", "7", "--backend", "packed",
+       "--fov-ud", "0.25", "--sink", "mem", "--total-time", "10000",
+       "--sampling-period", "1"});
   EXPECT_EQ(glva::app::canonical_key(terse),
             glva::app::canonical_key(spelled));
   EXPECT_EQ(glva::app::request_fingerprint(terse),
@@ -237,7 +237,6 @@ TEST(CanonicalKey, EverySemanticFieldChangesTheKey) {
       {"--fov-ud", "0.3"},
       {"--total-time", "9999"},
       {"--sampling-period", "2"},
-      {"--method", "next-reaction"},
       {"--backend", "reference"},
       {"--sink", "digitize"},
       {"--two-stage"},
@@ -435,6 +434,7 @@ struct ParsedResponse {
   int exit_code = -1;
   std::string body;
   std::string error_kind;
+  std::string error_message;
 };
 
 ParsedResponse parse_response(const std::string& payload) {
@@ -451,6 +451,9 @@ ParsedResponse parse_response(const std::string& payload) {
   if (const Json* error = json.find("error")) {
     if (const Json* kind = error->find("kind")) {
       response.error_kind = kind->string;
+    }
+    if (const Json* message = error->find("message")) {
+      response.error_message = message->string;
     }
   }
   return response;
@@ -569,9 +572,16 @@ TEST(ServeEndToEnd, ErrorsCarryStructuredKinds) {
                 .error_kind,
             "protocol");
   EXPECT_EQ(parse_response(server.dispatch(analysis_payload(
-                                "verify", "0x0B", {"--method", "psychic"})))
+                                "verify", "0x0B", {"--sink", "psychic"})))
                 .error_kind,
             "invalid_argument");
+  // The simulator is fixed (Gillespie direct): --method is no longer an
+  // option, even spelled with its one former valid value.
+  const ParsedResponse method = parse_response(server.dispatch(
+      analysis_payload("verify", "0x0B", {"--method", "direct"})));
+  EXPECT_EQ(method.error_kind, "invalid_argument");
+  EXPECT_NE(method.error_message.find("unknown option"), std::string::npos)
+      << method.error_message;
   EXPECT_EQ(parse_response(server.dispatch(analysis_payload(
                                 "verify", "no-such-circuit", {})))
                 .error_kind,

@@ -1,19 +1,17 @@
-// Unit tests for glva_sim: RNG, traces, schedules, the indexed priority
-// queue, the three SSA kernels (statistical correctness against analytic
-// results), the ODE reference, and the virtual lab.
+// Unit tests for glva_sim: RNG, traces, schedules, the direct-method SSA
+// (statistical correctness against analytic results), agreement with the
+// RK4 ODE test oracle, and the virtual lab.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "crn/network.h"
+#include "ode_reference.h"
 #include "sbml/model.h"
-#include "sim/indexed_priority_queue.h"
 #include "sim/input_schedule.h"
-#include "sim/ode.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "sim/ssa_direct.h"
 #include "sim/trace.h"
 #include "sim/virtual_lab.h"
 #include "util/errors.h"
@@ -60,20 +58,6 @@ TEST(Rng, NormalHasCorrectMoments) {
   for (int i = 0; i < 40000; ++i) stats.add(rng.normal());
   EXPECT_NEAR(stats.mean(), 0.0, 0.02);
   EXPECT_NEAR(stats.variance(), 1.0, 0.05);
-}
-
-TEST(Rng, PoissonSmallAndLargeMeans) {
-  Rng rng(17);
-  for (const double mean : {0.5, 5.0, 80.0}) {
-    util::RunningStats stats;
-    for (int i = 0; i < 30000; ++i) {
-      stats.add(static_cast<double>(rng.poisson(mean)));
-    }
-    EXPECT_NEAR(stats.mean(), mean, mean * 0.05 + 0.02) << mean;
-    EXPECT_NEAR(stats.variance(), mean, mean * 0.12 + 0.05) << mean;
-  }
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  EXPECT_EQ(rng.poisson(-1.0), 0u);
 }
 
 TEST(Rng, BelowIsBoundedAndRoughlyUniform) {
@@ -169,38 +153,6 @@ TEST(InputSchedule, ValidatesPhases) {
                InvalidArgument);
 }
 
-// --------------------------------------------------- indexed priority queue
-
-TEST(IndexedPriorityQueue, TracksMinimumUnderUpdates) {
-  IndexedPriorityQueue queue(4);
-  queue.update(0, 5.0);
-  queue.update(1, 3.0);
-  queue.update(2, 8.0);
-  EXPECT_EQ(queue.top_key(), 1u);
-  queue.update(1, 9.0);
-  EXPECT_EQ(queue.top_key(), 0u);
-  queue.update(3, 0.5);
-  EXPECT_EQ(queue.top_key(), 3u);
-  EXPECT_TRUE(queue.check_invariants());
-  EXPECT_THROW(queue.update(4, 1.0), InvalidArgument);
-}
-
-TEST(IndexedPriorityQueue, RandomizedOperationsKeepInvariants) {
-  Rng rng(31);
-  IndexedPriorityQueue queue(64);
-  for (int step = 0; step < 5000; ++step) {
-    const auto key = static_cast<std::size_t>(rng.below(64));
-    queue.update(key, rng.uniform() * 100.0);
-    if (step % 256 == 0) {
-      ASSERT_TRUE(queue.check_invariants());
-    }
-    // top must be <= a random other key's value
-    const auto probe = static_cast<std::size_t>(rng.below(64));
-    ASSERT_LE(queue.top_value(), queue.value(probe));
-  }
-  EXPECT_TRUE(queue.check_invariants());
-}
-
 // ------------------------------------------------------------- simulators
 
 sbml::Model birth_death(double kb, double kd) {
@@ -214,38 +166,26 @@ sbml::Model birth_death(double kb, double kd) {
   return m;
 }
 
-/// The birth–death process has a Poisson(kb/kd) stationary distribution:
-/// mean = variance = kb/kd. Every exact kernel must reproduce it.
-void check_birth_death_stationary(SsaMethod method, double tolerance) {
+TEST(SsaDirect, BirthDeathStationaryMoments) {
+  // The birth–death process has a Poisson(kb/kd) stationary distribution:
+  // mean = variance = kb/kd.
   const auto net = crn::ReactionNetwork::compile(birth_death(2.0, 0.1));
-  const auto simulator = make_simulator(method);
+  const DirectMethod simulator;
   const InputSchedule schedule;  // no inputs
+  const double tolerance = 0.8;
 
   util::RunningStats stats;
   SimulationOptions options;
   options.sampling_period = 1.0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     options.seed = seed;
-    const Trace trace = simulator->run(net, schedule, 2000.0, options);
+    const Trace trace = simulator.run(net, schedule, 2000.0, options);
     const auto& xs = trace.series("X");
     // Discard the burn-in (mean reached by ~5 time constants = 50 tu).
     for (std::size_t k = 200; k < xs.size(); ++k) stats.add(xs[k]);
   }
-  EXPECT_NEAR(stats.mean(), 20.0, tolerance) << "method mean";
-  EXPECT_NEAR(stats.variance(), 20.0, 8.0 * tolerance) << "method variance";
-}
-
-TEST(SsaDirect, BirthDeathStationaryMoments) {
-  check_birth_death_stationary(SsaMethod::kDirect, 0.8);
-}
-
-TEST(SsaNextReaction, BirthDeathStationaryMoments) {
-  check_birth_death_stationary(SsaMethod::kNextReaction, 0.8);
-}
-
-TEST(SsaTauLeap, BirthDeathStationaryMean) {
-  // Approximate method: allow a looser tolerance.
-  check_birth_death_stationary(SsaMethod::kTauLeap, 1.5);
+  EXPECT_NEAR(stats.mean(), 20.0, tolerance) << "mean";
+  EXPECT_NEAR(stats.variance(), 20.0, 8.0 * tolerance) << "variance";
 }
 
 TEST(Simulator, SeedsAreReproducibleAndDistinct) {
@@ -275,17 +215,15 @@ TEST(Simulator, SamplingGridIsComplete) {
 
 TEST(Simulator, CountsStayNonNegative) {
   const auto net = crn::ReactionNetwork::compile(birth_death(0.5, 2.0));
-  for (const auto method :
-       {SsaMethod::kDirect, SsaMethod::kNextReaction, SsaMethod::kTauLeap}) {
-    const auto simulator = make_simulator(method);
-    const Trace trace = simulator->run(net, {}, 500.0, {});
-    for (const double x : trace.series("X")) ASSERT_GE(x, 0.0);
-  }
+  const Trace trace = DirectMethod().run(net, {}, 500.0, {});
+  for (const double x : trace.series("X")) ASSERT_GE(x, 0.0);
 }
 
-TEST(Simulator, DirectAndNextReactionAgreeStatistically) {
-  // Two exact kernels must give statistically indistinguishable means on a
-  // regulated two-species cascade.
+TEST(Simulator, RegulatedCascadeMeetsExactExpectation) {
+  // R is a birth–death process (b = 1, kd = 0.05), so it is stationary
+  // Poisson(20) and never sees P. P is made at 1.2 * (1 - hill(R, 10, 2))
+  // = 1.2 * 100 / (100 + R^2) and degraded at 0.02 * P, so in the
+  // stationary state E[P] = (1.2 / 0.02) * E[100 / (100 + R^2)].
   sbml::Model m;
   m.add_compartment("cell");
   m.add_species("R", 0.0);
@@ -298,21 +236,26 @@ TEST(Simulator, DirectAndNextReactionAgreeStatistically) {
   m.add_reaction("degP", {{"P", 1.0}}, {}, "0.02 * P");
   const auto net = crn::ReactionNetwork::compile(m);
 
-  const auto run_mean = [&](SsaMethod method) {
-    const auto simulator = make_simulator(method);
-    util::RunningStats stats;
-    SimulationOptions options;
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      options.seed = seed;
-      const Trace trace = simulator->run(net, {}, 1500.0, options);
-      const auto& ps = trace.series("P");
-      for (std::size_t k = 500; k < ps.size(); ++k) stats.add(ps[k]);
-    }
-    return stats.mean();
-  };
-  const double direct = run_mean(SsaMethod::kDirect);
-  const double nrm = run_mean(SsaMethod::kNextReaction);
-  EXPECT_NEAR(direct, nrm, std::max(1.0, 0.08 * direct));
+  // Sum the Poisson(20) series; its mass beyond r = 200 is negligible.
+  const double lambda = 20.0;
+  double pmf = std::exp(-lambda);  // P(R = 0)
+  double repression = 0.0;
+  for (int r = 0; r < 200; ++r) {
+    repression += pmf * 100.0 / (100.0 + static_cast<double>(r) * r);
+    pmf *= lambda / (r + 1);
+  }
+  const double expected = (1.2 / 0.02) * repression;
+
+  const DirectMethod simulator;
+  util::RunningStats stats;
+  SimulationOptions options;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    options.seed = seed;
+    const Trace trace = simulator.run(net, {}, 1500.0, options);
+    const auto& ps = trace.series("P");
+    for (std::size_t k = 500; k < ps.size(); ++k) stats.add(ps[k]);
+  }
+  EXPECT_NEAR(stats.mean(), expected, std::max(1.0, 0.08 * expected));
 }
 
 TEST(Simulator, RejectsBadArguments) {
@@ -336,7 +279,7 @@ TEST(Ode, ExponentialDecayMatchesClosedForm) {
   m.add_parameter("kd", 0.05);
   m.add_reaction("decay", {{"X", 1.0}}, {}, "kd * X");
   const auto net = crn::ReactionNetwork::compile(m);
-  const OdeRk4 integrator(0.01);
+  const oracle::OdeRk4 integrator(0.01);
   const Trace trace = integrator.run(net, {}, 50.0, 1.0);
   for (std::size_t k = 0; k < trace.sample_count(); ++k) {
     const double expected = 100.0 * std::exp(-0.05 * trace.times()[k]);
@@ -348,7 +291,7 @@ TEST(Ode, SsaMeanConvergesToOde) {
   // The paper's premise: ODE = continuum limit; SSA fluctuates around it.
   const auto model = birth_death(2.0, 0.1);
   const auto net = crn::ReactionNetwork::compile(model);
-  const OdeRk4 integrator(0.01);
+  const oracle::OdeRk4 integrator(0.01);
   const Trace ode = integrator.run(net, {}, 100.0, 1.0);
 
   const DirectMethod ssa;

@@ -44,7 +44,7 @@ TEST(ThresholdEstimator, EmptySampleThrows) {
 
 TEST(ThresholdEstimator, LabFlowRecoversUsableThreshold) {
   const auto spec = circuits::CircuitRepository::build("myers_not");
-  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 3, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 3});
   lab.declare_inputs(spec.input_ids);
   const auto analysis = estimate_threshold(lab, "GFP", 30.0, 5000.0);
   // Inverter plateaus: floor ~0.8, plateau ~60. Any threshold between the
@@ -135,7 +135,7 @@ TEST(DelayEstimator, ValidatesArguments) {
 
 TEST(DelayEstimator, MeasuresRealCircuitDelays) {
   const auto spec = circuits::CircuitRepository::build("0x1C");
-  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 5, sim::SsaMethod::kDirect});
+  sim::VirtualLab lab(spec.model, sim::LabOptions{1.0, 5});
   lab.declare_inputs(spec.input_ids);
   const auto sweep = lab.run_combination_sweep(10000.0, 15.0);
   const auto analysis =
