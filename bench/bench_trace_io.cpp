@@ -19,9 +19,11 @@
 // Two follow-on sections ride on the same run:
 //   - whenever a spill file was written, the .glvt is replayed into the
 //     digitizer twice — row-at-a-time (SpillReader::replay_rows, the
-//     reference) and chunk-at-a-time blocks (SpillReader::replay) — the
-//     planes are compared bit for bit and, with timings on, the block
-//     path's replay speedup is reported (target: >= 3x);
+//     reference) and chunk-at-a-time (SpillReader::replay, which for a
+//     DigitizingSink thresholds stored RLE runs and decodes only the
+//     tracked columns) — the planes are compared bit for bit and, with
+//     timings on, the chunk path's replay speedup is reported (target:
+//     >= 3x);
 //   - --ensemble-replicates N runs an N-replicate digitize-sink ensemble
 //     through the streaming reduction (core::run_ensemble) and reports the
 //     majority logic plus, with timings on, the process peak RSS — the

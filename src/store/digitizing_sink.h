@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,11 +26,31 @@ namespace glva::store {
 /// Bits are word-buffered (the `adc_packed` trick): each plane accumulates
 /// 64 comparisons in a pending register and commits whole BitStream words,
 /// one store per 64 samples instead of a read-modify-write per bit;
-/// `append_block` packs straight from the column spans. The partial tail
-/// word is committed by `finish()`, so planes are complete only after the
-/// stream is finished.
+/// `append_block` packs straight from the column spans, and
+/// `append_chunk` thresholds a stored chunk's RLE runs once per run. The
+/// partial tail word is committed by `finish()`, so planes are complete
+/// only after the stream is finished.
+///
+/// Replaying a stored `.glvt` into this sink resolves to
+/// `SpillReader::replay(DigitizingSink&)`, which decodes only the tracked
+/// columns, hands them over as runs or raw spans through `append_chunk`,
+/// and still validates every section of every chunk. Passed as a plain
+/// `TraceSink&`, the sink takes the generic decode-everything replay —
+/// the bit-identity reference for the run-level one.
 class DigitizingSink final : public TraceSink {
 public:
+  /// One column of a chunk handed to `append_chunk`: its samples as `raw`
+  /// doubles or, when `raw` is empty, as `runs` of equal values that tile
+  /// the chunk in order — the two shapes of a `.glvt` column section.
+  struct ChunkColumn {
+    struct Run {
+      std::size_t length = 0;
+      double value = 0.0;
+    };
+    std::span<const double> raw;
+    std::span<const Run> runs;
+  };
+
   /// Optional spill tee: when configured, the committed plane words are
   /// also streamed chunk-wise into a v2 bit-plane `.glvt` file (header
   /// `content_kind = kBits`, `kWords` sections — see `store/glvt.h`), so
@@ -68,6 +89,19 @@ public:
   void append_block(std::span<const double> times,
                     std::span<const std::span<const double>> series) override;
 
+  /// Commit one stored chunk of `samples` samples — the run-level path of
+  /// `SpillReader::replay(DigitizingSink&)`. `columns[s]` is species
+  /// column s; only the tracked ones are read (`tracked_columns()`), so
+  /// the rest may be left empty. A run's bit is `value >= threshold`,
+  /// computed once and filled as whole-word ranges; raw columns go
+  /// through the same block packer as `append_block`. Bit-identical to
+  /// `append_block` over the decoded columns, including the pending tail
+  /// word and the spill tee. Throws glva::InvalidArgument unless the
+  /// stream sits on a word boundary (every chunk but a file's last is a
+  /// multiple of 64 samples), `columns` covers the tracked columns, and
+  /// each tracked column holds exactly `samples` samples.
+  void append_chunk(std::size_t samples, std::span<const ChunkColumn> columns);
+
   /// Commits the pending partial word of every plane; with the spill tee,
   /// also flushes the tail chunk, writes the chunk index, and finalizes
   /// the `.glvt` file (throws glva::StorageError on write failure).
@@ -82,6 +116,11 @@ public:
   [[nodiscard]] std::size_t sample_count() const noexcept { return samples_; }
   [[nodiscard]] const std::vector<std::string>& species_ids() const noexcept {
     return species_ids_;
+  }
+  /// The species column each plane reads, in plane order (set by begin()).
+  [[nodiscard]] const std::vector<std::size_t>& tracked_columns()
+      const noexcept {
+    return columns_;
   }
 
   /// The digitized planes, one per tracked id, in construction order
@@ -111,6 +150,7 @@ private:
   std::size_t min_row_width_ = 0;     ///< 1 + max(columns_), row precondition
   std::vector<logic::BitStream> planes_;
   std::vector<std::uint64_t> pending_;  ///< one partial word per plane
+  std::vector<std::uint64_t> chunk_words_;  ///< append_chunk scratch
   std::size_t samples_ = 0;  ///< total samples, committed + pending
   bool tail_committed_ = false;
 

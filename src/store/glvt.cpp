@@ -15,30 +15,53 @@ void append_pod(std::string& out, T value) {
   out.append(bytes, sizeof(T));
 }
 
-template <typename T>
-T read_pod(std::string_view buffer, std::size_t& offset, const char* what) {
-  if (buffer.size() - offset < sizeof(T) || offset > buffer.size()) {
-    throw StorageError(std::string(what) + ": truncated section");
-  }
-  T value;
-  std::memcpy(&value, buffer.data() + offset, sizeof(T));
-  offset += sizeof(T);
-  return value;
-}
-
 std::uint64_t double_bits(double value) {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof bits);
   return bits;
 }
 
-double bits_double(std::uint64_t bits) {
-  double value;
-  std::memcpy(&value, &bits, sizeof value);
-  return value;
+/// When the section at `offset` is a `kGrid` time section, validate it
+/// against the chunk position, advance past it and return true; otherwise
+/// leave `offset` alone and return false.
+bool skip_grid_section(std::string_view buffer, std::size_t& offset,
+                       std::uint64_t first_sample, double sampling_period) {
+  if (offset >= buffer.size() ||
+      buffer[offset] != static_cast<char>(SectionEncoding::kGrid)) {
+    return false;
+  }
+  ++offset;  // tag
+  const auto payload_bytes =
+      detail::read_pod<std::uint32_t>(buffer, offset, "glvt grid section");
+  if (payload_bytes != sizeof(double)) {
+    throw StorageError("glvt grid section: payload size mismatch");
+  }
+  const auto t0 = detail::read_pod<double>(buffer, offset, "glvt grid section");
+  const double expected = static_cast<double>(first_sample) * sampling_period;
+  if (double_bits(t0) != double_bits(expected)) {
+    throw StorageError(
+        "glvt grid section: start time disagrees with the chunk position");
+  }
+  return true;
 }
 
 }  // namespace
+
+namespace detail {
+
+std::uint8_t read_section_header(std::string_view buffer, std::size_t& offset,
+                                 std::size_t& payload_end) {
+  const auto tag = read_pod<std::uint8_t>(buffer, offset, "glvt section");
+  const auto payload_bytes =
+      read_pod<std::uint32_t>(buffer, offset, "glvt section");
+  if (buffer.size() - offset < payload_bytes) {
+    throw StorageError("glvt section: truncated payload");
+  }
+  payload_end = offset + payload_bytes;
+  return tag;
+}
+
+}  // namespace detail
 
 void append_u32(std::string& out, std::uint32_t value) {
   append_pod(out, value);
@@ -81,42 +104,18 @@ void encode_section(const std::vector<double>& values, std::string& out) {
 
 void decode_section_into(std::string_view buffer, std::size_t& offset,
                          std::size_t count, std::vector<double>& values) {
-  const auto tag = read_pod<std::uint8_t>(buffer, offset, "glvt section");
-  const auto payload_bytes =
-      read_pod<std::uint32_t>(buffer, offset, "glvt section");
-  if (buffer.size() - offset < payload_bytes) {
-    throw StorageError("glvt section: truncated payload");
-  }
-  const std::size_t payload_end = offset + payload_bytes;
-
   values.clear();
-  if (tag == static_cast<std::uint8_t>(SectionEncoding::kRaw)) {
-    if (payload_bytes != count * sizeof(double)) {
-      throw StorageError("glvt section: raw payload size mismatch");
-    }
-    // Doubles are stored bit-exactly in file order: one bulk copy.
-    values.resize(count);
-    std::memcpy(values.data(), buffer.data() + offset, payload_bytes);
-    offset = payload_end;
-  } else if (tag == static_cast<std::uint8_t>(SectionEncoding::kRle)) {
-    values.reserve(count);
-    while (offset < payload_end) {
-      const auto run = read_pod<std::uint32_t>(buffer, offset, "glvt section");
-      const auto bits = read_pod<std::uint64_t>(buffer, offset, "glvt section");
-      if (run == 0 || values.size() + run > count) {
-        throw StorageError("glvt section: RLE run overflows sample count");
-      }
-      values.insert(values.end(), run, bits_double(bits));
-    }
-    if (values.size() != count) {
-      throw StorageError("glvt section: RLE runs do not cover the chunk");
-    }
-  } else {
-    throw StorageError("glvt section: unknown encoding tag");
-  }
-  if (offset != payload_end) {
-    throw StorageError("glvt section: payload size mismatch");
-  }
+  walk_section(
+      buffer, offset, count,
+      [&](std::size_t position, std::size_t length, double value) {
+        if (position == 0) values.reserve(count);  // runs fill `count`
+        values.insert(values.end(), length, value);
+      },
+      [&](std::string_view payload) {
+        // Doubles are stored bit-exactly in file order: one bulk copy.
+        values.resize(count);
+        std::memcpy(values.data(), payload.data(), payload.size());
+      });
 }
 
 std::vector<double> decode_section(std::string_view buffer,
@@ -147,26 +146,25 @@ bool encode_time_section(const std::vector<double>& times,
   return true;
 }
 
+void check_time_section(std::string_view buffer, std::size_t& offset,
+                        std::size_t count, std::uint64_t first_sample,
+                        double sampling_period, std::uint32_t version) {
+  if (version >= 2 &&
+      skip_grid_section(buffer, offset, first_sample, sampling_period)) {
+    return;
+  }
+  walk_section(
+      buffer, offset, count, [](std::size_t, std::size_t, double) {},
+      [](std::string_view) {});
+}
+
 void decode_time_section_into(std::string_view buffer, std::size_t& offset,
                               std::size_t count, std::uint64_t first_sample,
                               double sampling_period,
                               std::vector<double>& values) {
-  if (offset >= buffer.size() ||
-      buffer[offset] != static_cast<char>(SectionEncoding::kGrid)) {
+  if (!skip_grid_section(buffer, offset, first_sample, sampling_period)) {
     decode_section_into(buffer, offset, count, values);
     return;
-  }
-  ++offset;  // tag
-  const auto payload_bytes =
-      read_pod<std::uint32_t>(buffer, offset, "glvt grid section");
-  if (payload_bytes != sizeof(double)) {
-    throw StorageError("glvt grid section: payload size mismatch");
-  }
-  const auto t0 = read_pod<double>(buffer, offset, "glvt grid section");
-  const double expected = static_cast<double>(first_sample) * sampling_period;
-  if (double_bits(t0) != double_bits(expected)) {
-    throw StorageError(
-        "glvt grid section: start time disagrees with the chunk position");
   }
   values.clear();
   values.reserve(count);
@@ -188,12 +186,13 @@ void encode_words_section(const std::uint64_t* words, std::size_t word_count,
 void decode_words_section(std::string_view buffer, std::size_t& offset,
                           std::size_t word_count,
                           std::vector<std::uint64_t>& words) {
-  const auto tag = read_pod<std::uint8_t>(buffer, offset, "glvt words section");
+  const auto tag =
+      detail::read_pod<std::uint8_t>(buffer, offset, "glvt words section");
   if (tag != static_cast<std::uint8_t>(SectionEncoding::kWords)) {
     throw StorageError("glvt words section: unexpected encoding tag");
   }
   const auto payload_bytes =
-      read_pod<std::uint32_t>(buffer, offset, "glvt words section");
+      detail::read_pod<std::uint32_t>(buffer, offset, "glvt words section");
   if (payload_bytes != word_count * sizeof(std::uint64_t)) {
     throw StorageError("glvt words section: payload size mismatch");
   }

@@ -2,9 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/errors.h"
 
 /// The `.glvt` ("GLVA trace") on-disk format shared by `SpillSink`
 /// (writer) and `SpillReader` (reader). One file is one uniformly sampled
@@ -91,6 +94,74 @@ void append_f64(std::string& out, double value);
 /// whenever it is strictly smaller than the raw 8-byte-per-sample layout.
 void encode_section(const std::vector<double>& values, std::string& out);
 
+namespace detail {
+
+/// Read one native-order scalar at `offset`, advancing it; throws
+/// glva::StorageError("<what>: truncated section") past the buffer end.
+template <typename T>
+T read_pod(std::string_view buffer, std::size_t& offset, const char* what) {
+  if (offset > buffer.size() || buffer.size() - offset < sizeof(T)) {
+    throw StorageError(std::string(what) + ": truncated section");
+  }
+  T value{};
+  std::memcpy(&value, buffer.data() + offset, sizeof(T));
+  offset += sizeof(T);
+  return value;
+}
+
+/// Read a section's tag and payload byte count; returns the tag and sets
+/// `payload_end`. Throws glva::StorageError when the header or the payload
+/// it announces runs past the buffer.
+std::uint8_t read_section_header(std::string_view buffer, std::size_t& offset,
+                                 std::size_t& payload_end);
+
+}  // namespace detail
+
+/// Validating walk over one column section of exactly `count` samples,
+/// advancing `offset` past it without materializing a single double: an
+/// RLE section calls `on_run(position, length, value)` once per run, in
+/// order (runs are non-empty and tile [0, count)); a raw section calls
+/// `on_raw(payload)` once with its `count · 8` payload bytes (a view into
+/// `buffer`, so not necessarily 8-byte aligned — copy before reading
+/// doubles). Throws glva::StorageError on exactly what `decode_section`
+/// rejects, with the same messages — the one place those checks live. A
+/// run can be visited before a later run of the same section is rejected.
+template <typename OnRun, typename OnRaw>
+void walk_section(std::string_view buffer, std::size_t& offset,
+                  std::size_t count, OnRun&& on_run, OnRaw&& on_raw) {
+  std::size_t payload_end = 0;
+  const std::uint8_t tag =
+      detail::read_section_header(buffer, offset, payload_end);
+  if (tag == static_cast<std::uint8_t>(SectionEncoding::kRaw)) {
+    if (payload_end - offset != count * sizeof(double)) {
+      throw StorageError("glvt section: raw payload size mismatch");
+    }
+    on_raw(buffer.substr(offset, payload_end - offset));
+    offset = payload_end;
+  } else if (tag == static_cast<std::uint8_t>(SectionEncoding::kRle)) {
+    std::size_t position = 0;
+    while (offset < payload_end) {
+      const auto run =
+          detail::read_pod<std::uint32_t>(buffer, offset, "glvt section");
+      const auto value =
+          detail::read_pod<double>(buffer, offset, "glvt section");
+      if (run == 0 || position + run > count) {
+        throw StorageError("glvt section: RLE run overflows sample count");
+      }
+      on_run(position, static_cast<std::size_t>(run), value);
+      position += run;
+    }
+    if (position != count) {
+      throw StorageError("glvt section: RLE runs do not cover the chunk");
+    }
+  } else {
+    throw StorageError("glvt section: unknown encoding tag");
+  }
+  if (offset != payload_end) {
+    throw StorageError("glvt section: payload size mismatch");
+  }
+}
+
 /// Decode one section of exactly `count` doubles from `buffer` starting at
 /// `offset`; advances `offset` past the section. Throws glva::StorageError
 /// on a truncated payload, an unknown encoding tag, or an RLE stream whose
@@ -118,6 +189,16 @@ void decode_section_into(std::string_view buffer, std::size_t& offset,
 bool encode_time_section(const std::vector<double>& times,
                          std::uint64_t first_sample, double sampling_period,
                          std::string& out);
+
+/// Validate one time column of a chunk starting at sample `first_sample`
+/// without materializing it, advancing `offset` past it: in a v2 file
+/// (`version >= 2`) a `kGrid` section gets `decode_time_section_into`'s
+/// checks (payload size, stored t0), every other section — v1 times and
+/// v2 raw/RLE times — `walk_section`'s structural checks. Accepts exactly
+/// what the matching decode accepts.
+void check_time_section(std::string_view buffer, std::size_t& offset,
+                        std::size_t count, std::uint64_t first_sample,
+                        double sampling_period, std::uint32_t version);
 
 /// Decode a v2 time column: a `kGrid` section is reconstructed as
 /// `(first_sample + j) · sampling_period` without touching any per-sample

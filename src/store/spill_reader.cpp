@@ -1,5 +1,6 @@
 #include "store/spill_reader.h"
 
+#include <algorithm>
 #include <cstring>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -110,6 +111,12 @@ SpillReader::SpillReader(std::string path) : path_(std::move(path)) {
     throw StorageError("SpillReader: chunk index does not fit the file: " +
                        path_);
   }
+  // open_chunk ties the last chunk to sample_count; a file without chunks
+  // has nothing to tie, so its count must already be zero.
+  if (chunk_count == 0 && sample_count_ != 0) {
+    throw StorageError(
+        "SpillReader: chunk samples do not cover the header count: " + path_);
+  }
 
   species_names_.reserve(species_count);
   for (std::uint32_t s = 0; s < species_count; ++s) {
@@ -163,8 +170,20 @@ SpillReader::~SpillReader() {
 #endif
 }
 
-std::string_view SpillReader::file_bytes(std::uint64_t begin,
-                                         std::uint64_t end) {
+std::pair<std::uint64_t, std::uint64_t> SpillReader::chunk_span(
+    std::size_t index) const {
+  const std::uint64_t begin = chunk_offsets_[index];
+  const std::uint64_t end = index + 1 < chunk_offsets_.size()
+                                ? chunk_offsets_[index + 1]
+                                : index_offset_;
+  if (end <= begin) {
+    throw StorageError("SpillReader: corrupt chunk index: " + path_);
+  }
+  return {begin, end};
+}
+
+std::string_view SpillReader::chunk_bytes(std::size_t index) {
+  const auto [begin, end] = chunk_span(index);
   if (map_ != nullptr) {
     return std::string_view(map_ + begin, static_cast<std::size_t>(end - begin));
   }
@@ -177,6 +196,30 @@ std::string_view SpillReader::file_bytes(std::uint64_t begin,
     throw StorageError("SpillReader: truncated chunk");
   }
   return chunk_buffer_;
+}
+
+std::uint32_t SpillReader::open_chunk(std::size_t index, std::string_view bytes,
+                                      std::size_t& offset) const {
+  offset = 0;
+  if (bytes.size() < 2 * sizeof(std::uint32_t) ||
+      take<std::uint32_t>(bytes, offset) != glvt::kChunkMagic) {
+    throw StorageError("SpillReader: bad chunk magic: " + path_);
+  }
+  const auto samples = take<std::uint32_t>(bytes, offset);
+  // Chunk i starts at sample i · chunk_capacity, so every chunk but the
+  // last must be exactly full — a short interior chunk would shift every
+  // later sample off its grid position and its word boundary.
+  const bool last = index + 1 == chunk_offsets_.size();
+  if (samples == 0 || samples > chunk_capacity_ ||
+      (!last && samples != chunk_capacity_)) {
+    throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
+  }
+  if (last && static_cast<std::uint64_t>(index) * chunk_capacity_ + samples !=
+                  sample_count_) {
+    throw StorageError(
+        "SpillReader: chunk samples do not cover the header count: " + path_);
+  }
+  return samples;
 }
 
 void SpillReader::require_content(glvt::ContentKind want,
@@ -199,24 +242,9 @@ void SpillReader::read_chunk_into(std::size_t index, Chunk& chunk) {
   if (index >= chunk_offsets_.size()) {
     throw InvalidArgument("SpillReader::read_chunk: index out of range");
   }
-  const std::uint64_t begin = chunk_offsets_[index];
-  const std::uint64_t end = index + 1 < chunk_offsets_.size()
-                                ? chunk_offsets_[index + 1]
-                                : index_offset_;
-  if (end <= begin) {
-    throw StorageError("SpillReader: corrupt chunk index: " + path_);
-  }
-  const std::string_view bytes = file_bytes(begin, end);
-
+  const std::string_view bytes = chunk_bytes(index);
   std::size_t offset = 0;
-  if (bytes.size() < 2 * sizeof(std::uint32_t) ||
-      take<std::uint32_t>(bytes, offset) != glvt::kChunkMagic) {
-    throw StorageError("SpillReader: bad chunk magic: " + path_);
-  }
-  const auto samples = take<std::uint32_t>(bytes, offset);
-  if (samples == 0 || samples > chunk_capacity_) {
-    throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
-  }
+  const std::uint32_t samples = open_chunk(index, bytes, offset);
 
   chunk.first_sample =
       static_cast<std::uint64_t>(index) * chunk_capacity_;
@@ -256,6 +284,54 @@ void SpillReader::replay(TraceSink& sink) {
   sink.finish();
 }
 
+void SpillReader::replay(DigitizingSink& sink) {
+  require_content(glvt::ContentKind::kAnalog, "replay");
+  sink.begin(species_names_);
+  std::vector<char> tracked(species_names_.size(), 0);
+  for (const std::size_t column : sink.tracked_columns()) tracked[column] = 1;
+  // Per-column buffers reused across chunks; untracked columns stay empty.
+  std::vector<DigitizingSink::ChunkColumn> columns(species_names_.size());
+  std::vector<std::vector<double>> raw(species_names_.size());
+  std::vector<std::vector<DigitizingSink::ChunkColumn::Run>> runs(
+      species_names_.size());
+  for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
+    const std::string_view bytes = chunk_bytes(c);
+    std::size_t offset = 0;
+    const std::uint32_t samples = open_chunk(c, bytes, offset);
+    glvt::check_time_section(bytes, offset, samples,
+                             static_cast<std::uint64_t>(c) * chunk_capacity_,
+                             sampling_period_, version_);
+    for (std::size_t s = 0; s < species_names_.size(); ++s) {
+      if (tracked[s] == 0) {
+        // Validated like every other section, then dropped.
+        glvt::walk_section(
+            bytes, offset, samples, [](std::size_t, std::size_t, double) {},
+            [](std::string_view) {});
+        continue;
+      }
+      columns[s] = {};
+      runs[s].clear();
+      glvt::walk_section(
+          bytes, offset, samples,
+          [&](std::size_t, std::size_t length, double value) {
+            runs[s].push_back({length, value});
+          },
+          [&](std::string_view payload) {
+            // Copied out: mapped payload bytes need not be 8-byte aligned.
+            raw[s].resize(samples);
+            std::memcpy(raw[s].data(), payload.data(), payload.size());
+            columns[s].raw = raw[s];
+          });
+      if (columns[s].raw.empty()) columns[s].runs = runs[s];
+    }
+    if (offset != bytes.size()) {
+      throw StorageError("SpillReader: trailing bytes in chunk: " + path_);
+    }
+    sink.append_chunk(samples, columns);
+  }
+  sink.finish();
+}
+
 void SpillReader::replay_rows(TraceSink& sink) {
   // The pre-block-path replay, preserved as the reference the block path
   // must be bit-identical to and the baseline `bench_trace_io` measures
@@ -267,27 +343,13 @@ void SpillReader::replay_rows(TraceSink& sink) {
   sink.begin(species_names_);
   std::vector<double> row(species_names_.size());
   for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
-    const std::uint64_t begin = chunk_offsets_[c];
-    const std::uint64_t end = c + 1 < chunk_offsets_.size()
-                                  ? chunk_offsets_[c + 1]
-                                  : index_offset_;
-    if (end <= begin) {
-      throw StorageError("SpillReader: corrupt chunk index: " + path_);
-    }
+    const auto [begin, end] = chunk_span(c);
     file_.clear();
     file_.seekg(static_cast<std::streamoff>(begin));
     const std::string buffer =
         read_bytes(file_, static_cast<std::size_t>(end - begin), "chunk");
-
     std::size_t offset = 0;
-    if (buffer.size() < 2 * sizeof(std::uint32_t) ||
-        take<std::uint32_t>(buffer, offset) != glvt::kChunkMagic) {
-      throw StorageError("SpillReader: bad chunk magic: " + path_);
-    }
-    const auto samples = take<std::uint32_t>(buffer, offset);
-    if (samples == 0 || samples > chunk_capacity_) {
-      throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
-    }
+    const std::uint32_t samples = open_chunk(c, buffer, offset);
     std::vector<double> times;
     if (version_ >= 2) {
       glvt::decode_time_section_into(
@@ -324,36 +386,21 @@ sim::Trace SpillReader::read_all() {
 
 std::vector<logic::BitStream> SpillReader::read_planes() {
   require_content(glvt::ContentKind::kBits, "read_planes");
-  const std::size_t total_words =
-      static_cast<std::size_t>((sample_count_ + 63) / 64);
+  // Sized from what the chunks can hold, not the header count alone: a
+  // hostile count is rejected by open_chunk, not by an oversized reserve.
+  const std::uint64_t chunk_samples =
+      static_cast<std::uint64_t>(chunk_offsets_.size()) * chunk_capacity_;
+  const auto total_words = static_cast<std::size_t>(
+      (std::min(sample_count_, chunk_samples) + 63) / 64);
   std::vector<std::vector<std::uint64_t>> words(species_names_.size());
   for (auto& plane : words) plane.reserve(total_words);
 
-  std::uint64_t seen = 0;
   for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
-    const std::uint64_t begin = chunk_offsets_[c];
-    const std::uint64_t end = c + 1 < chunk_offsets_.size()
-                                  ? chunk_offsets_[c + 1]
-                                  : index_offset_;
-    if (end <= begin) {
-      throw StorageError("SpillReader: corrupt chunk index: " + path_);
-    }
-    const std::string_view bytes = file_bytes(begin, end);
-
+    // Planes concatenate across chunks: open_chunk's layout check is what
+    // keeps every chunk boundary on a word boundary.
+    const std::string_view bytes = chunk_bytes(c);
     std::size_t offset = 0;
-    if (bytes.size() < 2 * sizeof(std::uint32_t) ||
-        take<std::uint32_t>(bytes, offset) != glvt::kChunkMagic) {
-      throw StorageError("SpillReader: bad chunk magic: " + path_);
-    }
-    const auto samples = take<std::uint32_t>(bytes, offset);
-    // Planes concatenate across chunks, so every chunk but the last must
-    // be exactly full — a short interior chunk would shift every later
-    // sample (the analog replay tolerates it; word alignment cannot).
-    const bool last = c + 1 == chunk_offsets_.size();
-    if (samples == 0 || samples > chunk_capacity_ ||
-        (!last && samples != chunk_capacity_)) {
-      throw StorageError("SpillReader: corrupt chunk sample count: " + path_);
-    }
+    const std::uint32_t samples = open_chunk(c, bytes, offset);
     const std::size_t chunk_words = (samples + 63) / 64;
     for (std::size_t s = 0; s < species_names_.size(); ++s) {
       glvt::decode_words_section(bytes, offset, chunk_words, words[s]);
@@ -361,11 +408,6 @@ std::vector<logic::BitStream> SpillReader::read_planes() {
     if (offset != bytes.size()) {
       throw StorageError("SpillReader: trailing bytes in chunk: " + path_);
     }
-    seen += samples;
-  }
-  if (seen != sample_count_) {
-    throw StorageError(
-        "SpillReader: chunk samples do not cover the header count: " + path_);
   }
 
   std::vector<logic::BitStream> planes;

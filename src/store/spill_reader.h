@@ -5,10 +5,12 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "logic/bit_stream.h"
 #include "sim/trace.h"
+#include "store/digitizing_sink.h"
 #include "store/glvt.h"
 #include "store/trace_sink.h"
 
@@ -32,8 +34,8 @@ namespace glva::store {
 /// On POSIX targets the file is memory-mapped read-only and chunks decode
 /// straight out of the mapping (no read() copy per chunk — page-cache
 /// pages are the buffer); when mapping is unavailable or fails, chunk
-/// bytes are read into a reused buffer instead. Both paths hand
-/// `glvt::decode_section_into` identical bytes.
+/// bytes are read into a reused buffer instead. Both paths hand the
+/// `glvt` section decoders identical bytes.
 class SpillReader {
 public:
   /// One decoded chunk: `chunk_capacity()` rows for every chunk but the
@@ -87,7 +89,9 @@ public:
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   /// Decode chunk `index`. Throws glva::InvalidArgument for an
-  /// out-of-range index and glva::StorageError for a corrupt chunk.
+  /// out-of-range index and glva::StorageError for a corrupt chunk —
+  /// including one that breaks the chunk layout (a non-last chunk that is
+  /// not full, or a last one that does not end at `sample_count()`).
   [[nodiscard]] Chunk read_chunk(std::size_t index);
 
   /// Allocation-reusing form of `read_chunk`: refills `chunk` in place
@@ -98,15 +102,24 @@ public:
   /// Stream every sample, in order, into another sink (begin →
   /// append_block per decoded chunk → finish): each 4096-sample chunk is
   /// handed to the sink as one column-wise block instead of 4096 row
-  /// appends — the block fast path of the replay pipeline. Replaying into
-  /// a `MemorySink` reproduces the original trace bit for bit; replaying
-  /// into a `DigitizingSink` digitizes a spilled trace without ever
-  /// materializing it. Chunk capacities are multiples of 64, so every
-  /// block a digitizing sink sees is word-aligned.
+  /// appends. Replaying into a `MemorySink` reproduces the original trace
+  /// bit for bit. This generic path decodes every column to doubles; a
+  /// `DigitizingSink` passed as plain `TraceSink&` takes it too, which is
+  /// what keeps it the bit-identity reference for the overload below.
   void replay(TraceSink& sink);
 
+  /// Run-level replay into the digitizer (begin → append_chunk per chunk
+  /// → finish), picked by overload resolution whenever the sink is
+  /// statically a `DigitizingSink`. Only the tracked columns are decoded:
+  /// an RLE run is thresholded once, however long, and a raw section is
+  /// block-packed; the time column is validated but never materialized,
+  /// and every untracked section is walked for validation only. A file
+  /// either of the two `replay`s rejects, the other rejects too, and the
+  /// planes are bit-identical to the generic path's.
+  void replay(DigitizingSink& sink);
+
   /// Row-wise replay (begin → one append per sample → finish): the
-  /// reference path `replay` is bit-identical to, kept for the
+  /// reference path both `replay`s are bit-identical to, kept for the
   /// block-vs-row equivalence tests and the `bench_trace_io` comparison.
   void replay_rows(TraceSink& sink);
 
@@ -127,10 +140,23 @@ public:
   void write_csv(std::ostream& out);
 
 private:
-  /// Bytes [begin, end) of the file: a zero-copy view into the mapping
-  /// when one exists, otherwise read into `chunk_buffer_` (reused).
-  [[nodiscard]] std::string_view file_bytes(std::uint64_t begin,
-                                            std::uint64_t end);
+  /// File span [begin, end) of chunk `index`; throws glva::StorageError
+  /// when the offset index does not increase there.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> chunk_span(
+      std::size_t index) const;
+
+  /// The bytes of chunk `index`: a zero-copy view into the mapping when
+  /// one exists, otherwise read into `chunk_buffer_` (reused).
+  [[nodiscard]] std::string_view chunk_bytes(std::size_t index);
+
+  /// Check chunk `index`'s magic and sample count and return the count,
+  /// leaving `offset` past the chunk header. The layout check every read
+  /// path shares: every chunk but the last holds exactly
+  /// `chunk_capacity()` samples (so chunks start on word boundaries) and
+  /// the last one ends at `sample_count()`. Throws glva::StorageError.
+  [[nodiscard]] std::uint32_t open_chunk(std::size_t index,
+                                         std::string_view bytes,
+                                         std::size_t& offset) const;
 
   /// Throw glva::StorageError unless the file's content kind is `want` —
   /// the analog/bit-plane API guard.

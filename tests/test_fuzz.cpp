@@ -4,13 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/adc.h"
 #include "math/expr_parser.h"
 #include "sbml/reader.h"
 #include "sbml/validate.h"
 #include "sbol/sbol_io.h"
 #include "sim/rng.h"
+#include "store/digitizing_sink.h"
+#include "store/glvt.h"
+#include "store/memory_sink.h"
+#include "store/spill_reader.h"
+#include "store/spill_sink.h"
 #include "util/csv.h"
 #include "util/errors.h"
 #include "xml/xml_parser.h"
@@ -180,6 +193,209 @@ TEST(Fuzz, CsvParserNeverCrashes) {
     }
   }
   SUCCEED();
+}
+
+// ------------------------------------------------------- .glvt replay
+
+template <typename T>
+T peek(const std::string& bytes, std::size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void poke(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+/// One column section of a valid file: where its tag sits, its encoding,
+/// its payload size, and the column it holds (0 = times, s + 1 = species s).
+struct SectionSite {
+  std::size_t tag_at = 0;
+  store::glvt::SectionEncoding encoding{};
+  std::uint32_t payload_bytes = 0;
+  std::size_t column = 0;
+};
+
+/// A small analog spill: `A` and `GFP` RLE-friendly, `B` noisy (raw),
+/// `C` RLE; 300 samples on the 0.5 grid in 64-sample chunks (the last one
+/// ragged).
+std::string small_analog_spill(const std::filesystem::path& path) {
+  store::SpillSink::Options options;
+  options.chunk_samples = 64;
+  options.sampling_period = 0.5;
+  {
+    store::SpillSink sink(path.string(), options);
+    sink.begin({"A", "B", "C", "GFP"});
+    std::vector<double> row(4);
+    for (std::size_t k = 0; k < 300; ++k) {
+      row[0] = (k / 10) % 2 == 0 ? 0.0 : 15.0;
+      row[1] = static_cast<double>((k * 7919) % 31);
+      row[2] = (k / 40) % 2 == 0 ? 3.0 : 30.0;
+      row[3] = k < 150 ? 0.0 : static_cast<double>(10 + (k / 3) % 2 * 20);
+      sink.append(static_cast<double>(k) * 0.5, row);
+    }
+    sink.finish();
+  }
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  return bytes.str();
+}
+
+/// Replay into `replay`'s sink; true when accepted, false when rejected
+/// with StorageError or InvalidArgument (anything else fails the test).
+template <typename Replay>
+bool accepts(Replay&& replay) {
+  try {
+    replay();
+    return true;
+  } catch (const StorageError&) {
+  } catch (const InvalidArgument&) {
+  }
+  return false;
+}
+
+TEST(Fuzz, GlvtReplaySurvivesMutatedFiles) {
+  namespace glvt = store::glvt;
+  const std::filesystem::path base_path =
+      std::filesystem::path(::testing::TempDir()) / "fuzz_base.glvt";
+  const std::string base = small_analog_spill(base_path);
+  constexpr std::size_t kColumns = 5;  // times + 4 species
+
+  const auto index_offset = static_cast<std::size_t>(
+      peek<std::uint64_t>(base, glvt::kIndexOffsetOffset));
+  const auto chunk_count = static_cast<std::size_t>(
+      peek<std::uint64_t>(base, glvt::kChunkCountOffset));
+  std::vector<std::size_t> chunks;
+  std::vector<SectionSite> sections;
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    chunks.push_back(static_cast<std::size_t>(
+        peek<std::uint64_t>(base, index_offset + c * 8)));
+    std::size_t at = chunks.back() + 8;  // past magic + sample count
+    for (std::size_t column = 0; column < kColumns; ++column) {
+      SectionSite site;
+      site.tag_at = at;
+      site.encoding = static_cast<glvt::SectionEncoding>(base[at]);
+      site.payload_bytes = peek<std::uint32_t>(base, at + 1);
+      site.column = column;
+      sections.push_back(site);
+      at += 5 + site.payload_bytes;
+    }
+  }
+  const auto pick = [&](sim::Rng& rng, glvt::SectionEncoding encoding) {
+    std::vector<const SectionSite*> matches;
+    for (const auto& site : sections) {
+      if (site.encoding == encoding) matches.push_back(&site);
+    }
+    return matches[rng.below(matches.size())];
+  };
+  const auto delta = [](sim::Rng& rng, std::int64_t span) {
+    return static_cast<std::int64_t>(rng.below(2 * span + 1)) - span;
+  };
+
+  // Only A and GFP are digitized: corruption confined to B, C or the
+  // times must still be rejected by the run-level replay.
+  const std::vector<std::string> tracked = {"A", "GFP"};
+  const auto is_untracked = [](const SectionSite& site) {
+    return site.column == 0 || site.column == 2 || site.column == 3;
+  };
+  constexpr double kThreshold = 15.0;
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "fuzz_mutant.glvt";
+  sim::Rng rng(90006);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::size_t untracked_rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string bytes = base;
+    bool untracked_only = true;  // every mutation hit the times, B or C
+    const std::size_t mutations = 1 + rng.below(2);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      switch (rng.below(6)) {
+        case 0: {  // a chunk-index offset
+          const std::size_t at = index_offset + 8 * rng.below(chunk_count);
+          poke(bytes, at, static_cast<std::uint64_t>(
+                              peek<std::uint64_t>(bytes, at) + delta(rng, 16)));
+          untracked_only = false;
+          break;
+        }
+        case 1: {  // a chunk's sample count
+          const std::size_t at = chunks[rng.below(chunk_count)] + 4;
+          poke(bytes, at, static_cast<std::uint32_t>(
+                              peek<std::uint32_t>(bytes, at) + delta(rng, 70)));
+          untracked_only = false;
+          break;
+        }
+        case 2: {  // a section tag
+          const SectionSite& site = sections[rng.below(sections.size())];
+          bytes[site.tag_at] = static_cast<char>(rng.below(5));
+          untracked_only = untracked_only && is_untracked(site);
+          break;
+        }
+        case 3: {  // a payload length
+          const SectionSite& site = sections[rng.below(sections.size())];
+          poke(bytes, site.tag_at + 1,
+               static_cast<std::uint32_t>(site.payload_bytes + delta(rng, 16)));
+          untracked_only = untracked_only && is_untracked(site);
+          break;
+        }
+        case 4: {  // an RLE run length
+          const SectionSite& site = *pick(rng, glvt::SectionEncoding::kRle);
+          const std::size_t at =
+              site.tag_at + 5 + 12 * rng.below(site.payload_bytes / 12);
+          poke(bytes, at, static_cast<std::uint32_t>(
+                              peek<std::uint32_t>(bytes, at) + delta(rng, 3)));
+          untracked_only = untracked_only && is_untracked(site);
+          break;
+        }
+        default: {  // a grid start time
+          const SectionSite& site = *pick(rng, glvt::SectionEncoding::kGrid);
+          bytes[site.tag_at + 5 + rng.below(8)] ^=
+              static_cast<char>(1u << rng.below(8));
+          break;
+        }
+      }
+    }
+    {
+      std::ofstream file(path, std::ios::binary | std::ios::trunc);
+      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    std::optional<store::SpillReader> reader;
+    if (!accepts([&] { reader.emplace(path.string()); })) {
+      ++rejected;
+      continue;
+    }
+    store::MemorySink memory;
+    store::DigitizingSink runs(tracked, kThreshold);
+    store::DigitizingSink generic(tracked, kThreshold);
+    const bool memory_ok = accepts([&] { reader->replay(memory); });
+    const bool runs_ok = accepts([&] { reader->replay(runs); });
+    const bool generic_ok = accepts(
+        [&] { reader->replay(static_cast<store::TraceSink&>(generic)); });
+    EXPECT_EQ(memory_ok, runs_ok) << "trial " << trial;
+    EXPECT_EQ(memory_ok, generic_ok) << "trial " << trial;
+    if (!memory_ok) {
+      ++rejected;
+      if (untracked_only) ++untracked_rejected;
+      continue;
+    }
+    ++accepted;
+    if (!runs_ok || !generic_ok) continue;
+    const core::PackedDigitalData expected = core::digitize_packed(
+        memory.trace(), {"A"}, "GFP", kThreshold);
+    EXPECT_EQ(runs.planes()[0], expected.inputs[0]) << "trial " << trial;
+    EXPECT_EQ(runs.planes()[1], expected.output) << "trial " << trial;
+    EXPECT_EQ(generic.planes()[0], expected.inputs[0]) << "trial " << trial;
+    EXPECT_EQ(generic.planes()[1], expected.output) << "trial " << trial;
+  }
+  // Both outcomes occur, and some rejections come from corruption the
+  // run-level replay never decodes into a plane.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(untracked_rejected, 0u);
 }
 
 TEST(Fuzz, DeeplyNestedXmlParsesOrFailsCleanly) {

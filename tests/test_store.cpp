@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -35,6 +36,7 @@
 #include "store/trace_sink.h"
 #include "util/errors.h"
 #include "util/stats.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -80,6 +82,25 @@ void expect_traces_identical(const sim::Trace& a, const sim::Trace& b) {
   for (std::size_t s = 0; s < a.species_count(); ++s) {
     EXPECT_EQ(a.series(s), b.series(s)) << "species " << s;
   }
+}
+
+/// Bit-pattern equality of two traces — unlike operator==, NaN-safe.
+bool traces_bit_identical(const sim::Trace& a, const sim::Trace& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](double p, double q) {
+                        return std::bit_cast<std::uint64_t>(p) ==
+                               std::bit_cast<std::uint64_t>(q);
+                      });
+  };
+  if (a.species_names() != b.species_names() || !same(a.times(), b.times())) {
+    return false;
+  }
+  for (std::size_t s = 0; s < a.species_count(); ++s) {
+    if (!same(a.series(s), b.series(s))) return false;
+  }
+  return true;
 }
 
 void expect_extractions_identical(const core::ExtractionResult& a,
@@ -349,6 +370,119 @@ TEST(Spill, RejectsCorruptChunkMagic) {
 
   store::SpillReader reader(path.string());  // header and index still valid
   EXPECT_THROW((void)reader.read_chunk(0), StorageError);
+}
+
+/// Hand-build a v2 analog file of `synthetic_trace` rows cut into chunks
+/// of `chunk_sizes` samples, with `header_samples` in the header — chunk
+/// layouts SpillSink never writes. Times are stored as a raw section, so
+/// no grid start time ties a chunk to its position.
+void write_chunks_by_hand(const fs::path& path, std::uint32_t capacity,
+                          const std::vector<std::uint32_t>& chunk_sizes,
+                          std::uint64_t header_samples) {
+  std::size_t total = 0;
+  for (const std::uint32_t n : chunk_sizes) total += n;
+  const sim::Trace trace = synthetic_trace(total);
+
+  std::string bytes(store::glvt::kMagic, sizeof store::glvt::kMagic);
+  store::glvt::append_u32(bytes, store::glvt::kVersion);
+  store::glvt::append_u64(bytes, 0);      // seed
+  store::glvt::append_f64(bytes, 0.5);    // sampling period
+  store::glvt::append_u32(bytes, static_cast<std::uint32_t>(
+                                     trace.species_count()));
+  store::glvt::append_u32(bytes, capacity);
+  store::glvt::append_u64(bytes, header_samples);
+  store::glvt::append_u64(bytes, chunk_sizes.size());
+  store::glvt::append_u64(bytes, 0);  // index_offset, patched below
+  store::glvt::append_u32(bytes, 0);  // content kind: analog
+  store::glvt::append_f64(bytes, 0.0);
+  for (const auto& name : trace.species_names()) {
+    store::glvt::append_u32(bytes, static_cast<std::uint32_t>(name.size()));
+    bytes += name;
+  }
+  std::vector<std::uint64_t> offsets;
+  std::size_t first = 0;
+  const auto slice = [&](const std::vector<double>& column, std::size_t n) {
+    return std::vector<double>(column.begin() + static_cast<long>(first),
+                               column.begin() + static_cast<long>(first + n));
+  };
+  for (const std::uint32_t n : chunk_sizes) {
+    offsets.push_back(bytes.size());
+    store::glvt::append_u32(bytes, store::glvt::kChunkMagic);
+    store::glvt::append_u32(bytes, n);
+    store::glvt::encode_section(slice(trace.times(), n), bytes);
+    for (std::size_t s = 0; s < trace.species_count(); ++s) {
+      store::glvt::encode_section(slice(trace.series(s), n), bytes);
+    }
+    first += n;
+  }
+  const std::uint64_t index_offset = bytes.size();
+  for (const std::uint64_t offset : offsets) {
+    store::glvt::append_u64(bytes, offset);
+  }
+  std::string patch;
+  store::glvt::append_u64(patch, index_offset);
+  bytes.replace(store::glvt::kIndexOffsetOffset, patch.size(), patch);
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+/// Every analog read path must reject a file that breaks the chunk layout
+/// — chunk `bad_chunk` is the one `read_chunk_into` trips on.
+void expect_every_read_path_rejects(const fs::path& path,
+                                    std::size_t bad_chunk) {
+  store::SpillReader reader(path.string());
+  store::SpillReader::Chunk chunk;
+  EXPECT_THROW(reader.read_chunk_into(bad_chunk, chunk), StorageError);
+  store::MemorySink memory;
+  EXPECT_THROW(reader.replay(memory), StorageError);
+  store::DigitizingSink runs({"A", "GFP"}, 10.0);
+  EXPECT_THROW(reader.replay(runs), StorageError);
+  store::DigitizingSink generic({"A", "GFP"}, 10.0);
+  EXPECT_THROW(reader.replay(static_cast<store::TraceSink&>(generic)),
+               StorageError);
+  store::MemorySink rows;
+  EXPECT_THROW(reader.replay_rows(rows), StorageError);
+  EXPECT_THROW((void)reader.read_all(), StorageError);
+  std::ostringstream csv;
+  EXPECT_THROW(reader.write_csv(csv), StorageError);
+}
+
+TEST(Spill, RejectsHeaderCountTheChunksDoNotCover) {
+  const fs::path path = temp_path("count_mismatch.glvt");
+  {
+    store::SpillSink sink(path.string(), {.chunk_samples = 64});
+    stream_trace(synthetic_trace(150), sink);
+  }
+  std::string bytes = read_file_bytes(path);
+  std::string patch;
+  store::glvt::append_u64(patch, 100000);  // the chunks hold 150
+  bytes.replace(store::glvt::kSampleCountOffset, patch.size(), patch);
+  std::ofstream(path, std::ios::binary) << bytes;
+  expect_every_read_path_rejects(path, 2);
+}
+
+TEST(Spill, RejectsShortInteriorChunk) {
+  // Self-consistent apart from the layout: the header counts the 40 + 64
+  // + 10 samples the chunks hold, but chunk 0 is not full, so every later
+  // sample would land off its grid position and word boundary.
+  const fs::path path = temp_path("short_interior.glvt");
+  write_chunks_by_hand(path, 64, {40, 64, 10}, 114);
+  expect_every_read_path_rejects(path, 0);
+
+  write_chunks_by_hand(path, 64, {64, 40, 10}, 114);
+  expect_every_read_path_rejects(path, 1);
+
+  // The same samples laid out legally read back bit for bit.
+  write_chunks_by_hand(path, 64, {64, 50}, 114);
+  expect_traces_identical(synthetic_trace(114),
+                          store::SpillReader(path.string()).read_all());
+}
+
+TEST(Spill, RejectsChunklessFileClaimingSamples) {
+  const fs::path path = temp_path("chunkless.glvt");
+  write_chunks_by_hand(path, 64, {}, 0);
+  EXPECT_EQ(store::SpillReader(path.string()).read_all().sample_count(), 0u);
+  write_chunks_by_hand(path, 64, {}, 5);
+  EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
 }
 
 TEST(Spill, MissingFileRejected) {
@@ -787,6 +921,32 @@ TEST(DigitizingSink, ValidatesArguments) {
   store::DigitizingSink ok({"A"}, 15.0);
   ok.begin({"A"});
   EXPECT_THROW((void)ok.take_plane(1), InvalidArgument);
+
+  // append_chunk: the tracked columns must be present and tile the chunk
+  // exactly, and a chunk must start on a word boundary.
+  using Column = store::DigitizingSink::ChunkColumn;
+  const std::vector<double> raw(64, 20.0);
+  const std::vector<Column::Run> short_runs = {{30, 20.0}};
+  const std::vector<Column::Run> long_runs = {{30, 20.0}, {40, 1.0}};
+  store::DigitizingSink chunked({"B"}, 15.0);
+  chunked.begin({"A", "B"});
+  std::vector<Column> columns(1);
+  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
+  columns.resize(2);
+  columns[1].runs = short_runs;
+  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
+  columns[1].runs = long_runs;
+  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
+  columns[1].runs = {};
+  columns[1].raw = std::span<const double>(raw).first(63);
+  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
+  columns[1].raw = std::span<const double>(raw).first(10);
+  chunked.append_chunk(10, columns);
+  columns[1].raw = raw;
+  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
+  chunked.finish();
+  EXPECT_EQ(chunked.planes()[0], core::adc_packed(std::vector<double>(10, 20.0),
+                                                  15.0));
 }
 
 // ------------------------------------------------- block-path equivalence
@@ -971,25 +1131,91 @@ TEST(AppendBlock, RejectsColumnsShorterThanTheTimeColumn) {
 
 // ------------------------------------------------------------ chunk replay
 
+/// A trace holding every column shape the run-level replay handles, on
+/// the sampler's grid (k · 0.5): `A` runs of 0 and exactly 15.0 (a run
+/// value equal to a threshold), `Noisy` changing every sample (stored
+/// raw), `Special` runs of NaN, -0.0, +0.0, exactly 10.0 and 20.0, `GFP`
+/// RLE in the first half and raw in the second, and an untracked `Off`.
+sim::Trace replay_trace(std::size_t samples) {
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                             0.0, 10.0, 20.0};
+  sim::Trace trace({"A", "Noisy", "Special", "GFP", "Off"});
+  std::vector<double> row(5);
+  for (std::size_t k = 0; k < samples; ++k) {
+    row[0] = (k / 10) % 2 == 0 ? 0.0 : 15.0;
+    row[1] = static_cast<double>((k * 7919) % 31);
+    row[2] = specials[(k / 16) % 5];
+    row[3] = k < samples / 2 ? (k / 100) % 2 == 0 ? 0.0 : 30.0
+                             : static_cast<double>((k * 13) % 40);
+    row[4] = static_cast<double>(k % 7);
+    trace.append(static_cast<double>(k) * 0.5, row);
+  }
+  return trace;
+}
+
 TEST(Replay, BlockReplayMatchesRowReplay) {
-  const sim::Trace trace = synthetic_trace(500);
-  const fs::path path = temp_path("replay_block.glvt");
-  store::SpillSink sink(path.string(), {.chunk_samples = 64});
-  stream_trace(trace, sink);
+  // The three replays into a digitizer — run-level (`replay` on a
+  // DigitizingSink), generic (`replay` on it as a plain TraceSink) and
+  // row-wise — must give the same planes and, through the spill tee, the
+  // same bit-plane bytes, over v1/v2 files, several chunk capacities, a
+  // ragged last chunk, raw next to RLE columns, a duplicate tracked id
+  // and thresholds equal to stored run values.
+  const std::vector<std::string> tracked = {"A", "Noisy", "Special", "GFP",
+                                            "A"};
+  for (const std::uint32_t version : {1u, 2u}) {
+    for (const std::uint32_t capacity : {64u, 128u, 4096u}) {
+      for (const std::size_t samples : {1000u, 8492u}) {
+        const sim::Trace trace = replay_trace(samples);
+        const std::string tag = "v" + std::to_string(version) + "_" +
+                                std::to_string(capacity) + "_" +
+                                std::to_string(samples);
+        const fs::path path = temp_path("replay_" + tag + ".glvt");
+        store::SpillSink::Options options;
+        options.chunk_samples = capacity;
+        options.sampling_period = 0.5;
+        options.format_version = version;
+        {
+          store::SpillSink sink(path.string(), options);
+          stream_trace(trace, sink);
+        }
+        store::SpillReader reader(path.string());
 
-  store::SpillReader reader(path.string());
-  store::MemorySink by_rows;
-  reader.replay_rows(by_rows);
-  store::MemorySink by_blocks;
-  reader.replay(by_blocks);
-  expect_traces_identical(by_rows.trace(), by_blocks.trace());
+        store::MemorySink by_rows;
+        reader.replay_rows(by_rows);
+        store::MemorySink by_blocks;
+        reader.replay(by_blocks);
+        EXPECT_TRUE(traces_bit_identical(by_rows.trace(), by_blocks.trace()))
+            << tag;
+        EXPECT_TRUE(traces_bit_identical(trace, by_blocks.trace())) << tag;
 
-  store::DigitizingSink digitize_rows({"GFP", "A"}, 10.0);
-  reader.replay_rows(digitize_rows);
-  store::DigitizingSink digitize_blocks({"GFP", "A"}, 10.0);
-  reader.replay(digitize_blocks);
-  EXPECT_EQ(digitize_blocks.planes()[0], digitize_rows.planes()[0]);
-  EXPECT_EQ(digitize_blocks.planes()[1], digitize_rows.planes()[1]);
+        for (const double threshold : {10.0, 15.0}) {
+          const std::string at = tag + "_" + util::format_double(threshold);
+          const fs::path run_tee = temp_path("tee_runs_" + at + ".glvt");
+          const fs::path generic_tee = temp_path("tee_generic_" + at + ".glvt");
+          const fs::path row_tee = temp_path("tee_rows_" + at + ".glvt");
+          store::DigitizingSink runs(tracked, threshold, plane_spill(run_tee));
+          reader.replay(runs);
+          store::DigitizingSink generic(tracked, threshold,
+                                        plane_spill(generic_tee));
+          reader.replay(static_cast<store::TraceSink&>(generic));
+          store::DigitizingSink rows(tracked, threshold, plane_spill(row_tee));
+          reader.replay_rows(rows);
+
+          ASSERT_EQ(runs.sample_count(), samples) << at;
+          for (std::size_t p = 0; p < tracked.size(); ++p) {
+            const logic::BitStream expected =
+                core::adc_packed(trace.series(tracked[p]), threshold);
+            EXPECT_EQ(runs.planes()[p], expected) << at << ", plane " << p;
+            EXPECT_EQ(generic.planes()[p], expected) << at << ", plane " << p;
+            EXPECT_EQ(rows.planes()[p], expected) << at << ", plane " << p;
+          }
+          const std::string tee_bytes = read_file_bytes(run_tee);
+          EXPECT_TRUE(tee_bytes == read_file_bytes(generic_tee)) << at;
+          EXPECT_TRUE(tee_bytes == read_file_bytes(row_tee)) << at;
+        }
+      }
+    }
+  }
 }
 
 TEST(Replay, ChunkReplayOfGoldenFileIsByteIdentical) {
