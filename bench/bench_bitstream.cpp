@@ -1,10 +1,9 @@
 // Micro-benchmarks for the bit-packed stream primitives the analysis stage
-// is built on (logic::BitStream / logic::CombinationIndex): packing,
-// popcount, bitwise combination, masked transition counting, and the
-// packed vs reference ADC. These isolate the word-parallel kernels whose
-// composition produces the end-to-end speedup bench_analysis_runtime
-// measures; each counter reports items/s in *samples*, so packed and
-// reference rows are directly comparable.
+// is built on (logic::BitStream / logic::combination_segments): packing,
+// popcount, bitwise combination, and the combination-segment split. These
+// isolate the word-parallel kernels whose composition bench_analysis_runtime
+// measures end to end; each counter reports items/s in *samples*, so packed
+// and vector<bool> rows are directly comparable.
 //
 // The BM_kernel_* rows are registered once per available SIMD tier
 // (scalar/sse2/avx2/avx512), so one run shows the per-ISA throughput
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "logic/bit_stream.h"
-#include "logic/combination_index.h"
+#include "logic/combination_segments.h"
 #include "logic/simd/kernel_set.h"
 #include "sim/rng.h"
 
@@ -85,17 +84,6 @@ void BM_popcount_vector_bool(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_and_popcount(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  const BitStream a = make_stream(bits, 3);
-  const BitStream b = make_stream(bits, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(logic::and_popcount(a, b));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(bits) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
 void BM_bitwise_and(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
   const BitStream a = make_stream(bits, 5);
@@ -108,24 +96,13 @@ void BM_bitwise_and(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-void BM_masked_transition_count(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  const BitStream mask = make_stream(bits, 7);
-  const BitStream stream = make_stream(bits, 8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(logic::masked_transition_count(mask, stream));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(bits) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
-void BM_combination_index(benchmark::State& state) {
+void BM_combination_segments(benchmark::State& state) {
   const auto bits = static_cast<std::size_t>(state.range(0));
   const std::vector<BitStream> inputs = {
       make_stream(bits, 9), make_stream(bits, 10), make_stream(bits, 11)};
   for (auto _ : state) {
-    logic::CombinationIndex index(inputs);
-    benchmark::DoNotOptimize(index.count(0));
+    const auto segments = logic::combination_segments(inputs);
+    benchmark::DoNotOptimize(segments.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(bits) *
                           static_cast<std::int64_t>(state.iterations()));
@@ -179,38 +156,12 @@ void register_kernel_benchmarks() {
         })
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark(
-        ("BM_kernel_and_popcount/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const BitStream a = make_stream(kKernelBits, 14);
-          const BitStream b = make_stream(kKernelBits, 15);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(set->and_popcount_words(
-                a.words().data(), b.words().data(), kKernelWords));
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
         ("BM_kernel_transition_count/" + level).c_str(),
         [set](benchmark::State& state) {
           const BitStream stream = make_stream(kKernelBits, 16);
           for (auto _ : state) {
             benchmark::DoNotOptimize(set->transition_count_words(
                 stream.words().data(), kKernelWords, ~std::uint64_t{0}));
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        ("BM_kernel_masked_pair_transitions/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const BitStream mask = make_stream(kKernelBits, 17);
-          const BitStream stream = make_stream(kKernelBits, 18);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(set->masked_pair_transitions(
-                mask.words().data(), stream.words().data(), kKernelWords));
           }
           state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
                                   static_cast<std::int64_t>(state.iterations()));
@@ -243,7 +194,6 @@ int run_no_timings() {
 
   const std::vector<double> analog = make_analog(kKernelBits, 12);
   const BitStream a = make_stream(kKernelBits, 13);
-  const BitStream b = make_stream(kKernelBits, 14);
 
   std::vector<std::uint64_t> packed(kKernelWords);
   scalar->pack_threshold_block(analog.data(), kKernelWords, 15.0,
@@ -254,15 +204,9 @@ int run_no_timings() {
               static_cast<unsigned long long>(fold_words(packed)));
   std::printf("popcount_words: %zu\n",
               scalar->popcount_words(a.words().data(), kKernelWords));
-  std::printf("and_popcount_words: %zu\n",
-              scalar->and_popcount_words(a.words().data(), b.words().data(),
-                                         kKernelWords));
   std::printf("transition_count_words: %zu\n",
               scalar->transition_count_words(a.words().data(), kKernelWords,
                                              ~std::uint64_t{0}));
-  std::printf("masked_pair_transitions: %zu\n",
-              scalar->masked_pair_transitions(a.words().data(),
-                                              b.words().data(), kKernelWords));
 
   int rc = 0;
   for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSSE2}) {
@@ -280,18 +224,10 @@ int run_no_timings() {
         variant == packed &&
         set->popcount_words(a.words().data(), kKernelWords) ==
             scalar->popcount_words(a.words().data(), kKernelWords) &&
-        set->and_popcount_words(a.words().data(), b.words().data(),
-                                kKernelWords) ==
-            scalar->and_popcount_words(a.words().data(), b.words().data(),
-                                       kKernelWords) &&
         set->transition_count_words(a.words().data(), kKernelWords,
                                     ~std::uint64_t{0}) ==
             scalar->transition_count_words(a.words().data(), kKernelWords,
-                                           ~std::uint64_t{0}) &&
-        set->masked_pair_transitions(a.words().data(), b.words().data(),
-                                     kKernelWords) ==
-            scalar->masked_pair_transitions(a.words().data(), b.words().data(),
-                                            kKernelWords);
+                                           ~std::uint64_t{0});
     std::printf("%s: %s\n", name, ok ? "ok" : "MISMATCH");
     if (!ok) rc = 1;
   }
@@ -303,10 +239,8 @@ int run_no_timings() {
 BENCHMARK(BM_pack)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_popcount)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_popcount_vector_bool)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_and_popcount)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_bitwise_and)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_masked_transition_count)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_combination_index)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_combination_segments)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {

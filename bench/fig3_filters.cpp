@@ -82,18 +82,17 @@ int main(int argc, char** argv) {
   }
 
   const core::DigitalData data = make_figure3_data(stable, oscillatory);
-  // The reference backend materializes the per-case output streams this
-  // figure renders run-length encoded; the packed backend would not.
-  const core::LogicAnalyzer analyzer(core::AnalyzerConfig{
-      15.0, fov_ud, core::AnalysisBackend::kReference});
+  const core::LogicAnalyzer analyzer(core::AnalyzerConfig{15.0, fov_ud});
   const core::ExtractionResult result =
       analyzer.analyze_digital(data, {"A", "B"}, "OUT");
+  // The reference CaseAnalyzer logs the per-case streams rendered below.
+  const core::CaseAnalysis logged = core::analyze_cases(data);
 
   std::cout << "=== Figure 3: equal HIGH_O counts, different stability ===\n\n";
   std::cout << "case 00 stream: "
-            << util::render_run_length(result.cases.cases[0].output_stream)
+            << util::render_run_length(logged.cases[0].output_stream)
             << "\ncase 11 stream: "
-            << util::render_run_length(result.cases.cases[3].output_stream)
+            << util::render_run_length(logged.cases[3].output_stream)
             << "\n\n";
   std::cout << core::render_analytics_table(result) << "\n";
 

@@ -26,9 +26,9 @@
 ///   version                               build + SIMD tier report
 ///
 /// Shared analysis options: --threshold, --fov-ud, --total-time,
-/// --sampling-period, --seed, --backend (packed|reference),
-/// --sink (mem|spill|digitize), --spill-dir <dir>, --csv <path>,
-/// --no-timings. Every run simulates with Gillespie's direct method, the
+/// --sampling-period, --seed, --sink (mem|spill|digitize),
+/// --spill-dir <dir>, --csv <path>, --no-timings. Numeric options must be
+/// finite. Every run simulates with Gillespie's direct method, the
 /// paper's exact SSA. The sink selects trace storage (in-memory trace,
 /// chunked .glvt spill files, or fused sampler→ADC digitization — see
 /// docs/STORAGE.md); results are bit-identical for every sink.

@@ -25,8 +25,6 @@ void add_analysis_options(util::CliParser& cli) {
                  "trace grid (time units per sample; samples = total-time / "
                  "sampling-period)");
   cli.add_option("seed", "1", "simulation seed");
-  cli.add_option("backend", "packed",
-                 "analysis streams: packed | reference (bit-identical)");
   cli.add_option("sink", "mem",
                  "trace storage: mem | spill | digitize (bit-identical "
                  "results; see docs/STORAGE.md)");
@@ -46,7 +44,6 @@ core::ExperimentConfig config_from(const util::CliParser& cli) {
   config.total_time = cli.get_double("total-time");
   config.sampling_period = cli.get_double("sampling-period");
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.backend = core::parse_analysis_backend(cli.get("backend"));
   config.sink = store::parse_sink_kind(cli.get("sink"));
   config.spill_dir = cli.get("spill-dir");
   return config;
@@ -409,7 +406,6 @@ std::string canonical_key(const Request& request) {
   append_field(key, "sampling_period",
                canonical_double(config.sampling_period));
   append_field(key, "seed", std::to_string(config.seed));
-  append_field(key, "backend", core::analysis_backend_name(config.backend));
   append_field(key, "sink", store::sink_kind_name(config.sink));
   return key;
 }

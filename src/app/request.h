@@ -76,8 +76,8 @@ void add_request_options(util::CliParser& cli, Request::Op op);
 
 /// Build the Request from a parser that ran over add_request_options
 /// declarations. Throws glva::InvalidArgument on invalid field values
-/// (bad method/backend/sink names, replicates < 1, empty sweep grid,
-/// missing analyze inputs).
+/// (bad sink names, non-finite numbers, replicates < 1, empty sweep
+/// grid, missing analyze inputs).
 [[nodiscard]] Request request_from_cli(Request::Op op, std::string target,
                                        const util::CliParser& cli);
 

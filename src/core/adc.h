@@ -13,12 +13,12 @@
 /// longer needed to obtain the Boolean logic of a genetic circuit".
 ///
 /// Two representations of the digitized streams exist side by side:
-/// `DigitalData` (one `std::vector<bool>` per stream — the reference
-/// implementation) and `PackedDigitalData` (one `logic::BitStream` per
-/// stream — 64 samples per word, the production path of the analysis
-/// stage). Both digitize identically bit for bit; see `docs/ANALYSIS.md`
-/// for the packed layout and `AnalysisBackend` in `logic_analyzer.h` for
-/// how a backend is selected.
+/// `PackedDigitalData` (one `logic::BitStream` per stream — 64 samples per
+/// word, the input of the one analysis path, `LogicAnalyzer::analyze_packed`)
+/// and `DigitalData` (one `std::vector<bool>` per stream — the reference
+/// representation the oracles `analyze_cases` and `props::evaluate_reference`
+/// read). Both digitize identically bit for bit; see `docs/ANALYSIS.md`
+/// for the packed layout.
 namespace glva::store {
 class SpillReader;  // store/spill_reader.h (load_digitized's source)
 }  // namespace glva::store
@@ -54,8 +54,8 @@ struct DigitalData {
 
 /// Bit-packed variant of `DigitalData`: same streams, same MSB-first input
 /// order, one `logic::BitStream` per stream (64 samples per word, zeroed
-/// tail). Produced by `digitize_packed`/`pack`, consumed by the packed
-/// CaseAnalyzer (`analyze_cases_packed`).
+/// tail). Produced by `digitize_packed`/`pack`, consumed by
+/// `LogicAnalyzer::analyze_packed`.
 struct PackedDigitalData {
   std::vector<logic::BitStream> inputs;  ///< [input], MSB first
   logic::BitStream output;
@@ -84,9 +84,9 @@ struct PackedDigitalData {
     const sim::Trace& trace, const std::vector<std::string>& input_ids,
     const std::string& output_id, double threshold);
 
-/// Lossless conversions between the two representations (used by the
-/// analyzer's packed backend when handed pre-digitized reference data, and
-/// by the equivalence tests). O(input_count · samples).
+/// Lossless conversions between the two representations (used by
+/// `LogicAnalyzer::analyze_digital` when handed pre-digitized reference
+/// data, and by the equivalence tests). O(input_count · samples).
 [[nodiscard]] PackedDigitalData pack(const DigitalData& data);
 [[nodiscard]] DigitalData unpack(const PackedDigitalData& data);
 

@@ -94,22 +94,6 @@ ExperimentResult run_experiment_spill(const circuits::CircuitSpec& spec,
 /// analysis-only memory footprint is samples/8 bytes per tracked species.
 ExperimentResult run_experiment_digitize(const circuits::CircuitSpec& spec,
                                          const ExperimentConfig& config) {
-  if (config.backend != AnalysisBackend::kPacked) {
-    throw InvalidArgument(
-        "run_experiment: sink 'digitize' requires the packed analysis "
-        "backend (it produces bit-planes, not a trace)");
-  }
-  // The memory path silently falls back to the reference backend past the
-  // packed auto-limit; a digitizing run has no trace to fall back to, and
-  // beyond the limit the 2^N masks would defeat the sink's bounded-memory
-  // purpose anyway — reject up front with a actionable message.
-  if (spec.input_ids.size() > kPackedAutoInputLimit) {
-    throw InvalidArgument(
-        "run_experiment: sink 'digitize' supports up to " +
-        std::to_string(kPackedAutoInputLimit) +
-        " inputs (packed-analysis limit); use sink 'mem' or 'spill' for "
-        "wider circuits");
-  }
   std::vector<std::string> tracked = spec.input_ids;
   tracked.push_back(spec.output_id);
 
@@ -152,8 +136,7 @@ ExperimentResult run_experiment_digitize(const circuits::CircuitSpec& spec,
   result.simulate_seconds = sim_seconds;
   result.sweep.schedule = std::move(schedule);  // trace intentionally empty
 
-  LogicAnalyzer analyzer(
-      AnalyzerConfig{config.threshold, config.fov_ud, config.backend});
+  LogicAnalyzer analyzer(AnalyzerConfig{config.threshold, config.fov_ud});
   const auto analyze_start = std::chrono::steady_clock::now();
   {
     GLVA_SPAN("analyze");
@@ -226,8 +209,7 @@ ExperimentResult reanalyze(const circuits::CircuitSpec& spec,
   result.circuit_name = spec.name;
   result.config = config;
 
-  LogicAnalyzer analyzer(
-      AnalyzerConfig{config.threshold, config.fov_ud, config.backend});
+  LogicAnalyzer analyzer(AnalyzerConfig{config.threshold, config.fov_ud});
   const auto analyze_start = std::chrono::steady_clock::now();
   {
     GLVA_SPAN("analyze");

@@ -29,17 +29,14 @@ struct ExperimentConfig {
   double input_high_level = -1.0;
   double sampling_period = 1.0;  ///< trace grid, time units per sample
   std::uint64_t seed = 1;        ///< RNG seed; equal seeds reproduce runs
-  /// Analysis-stage representation (bit-packed vs reference vector<bool>);
-  /// results are bit-identical either way — see AnalysisBackend.
-  AnalysisBackend backend = AnalysisBackend::kPacked;
 
   /// Where the sweep's samples land (see store::SinkKind and
   /// docs/STORAGE.md): kMemory materializes the trace (reference path),
   /// kSpill streams it to a chunked .glvt file under `spill_dir` and
   /// re-materializes for analysis, kDigitize fuses the ADC into the
-  /// sampler so no double trace ever exists (requires the packed backend;
-  /// ExperimentResult::sweep.trace comes back empty). All three yield
-  /// bit-identical analysis results for the same seed.
+  /// sampler so no double trace ever exists (ExperimentResult::sweep.trace
+  /// comes back empty). All three yield bit-identical analysis results for
+  /// the same seed, at every input count.
   store::SinkKind sink = store::SinkKind::kMemory;
   /// Directory for .glvt spill files; required when sink == kSpill.
   /// Optional with kDigitize: when set, the run also streams its packed
@@ -71,8 +68,7 @@ struct ExperimentResult {
 /// Run the full pipeline on a circuit: sweep all 2^N input combinations
 /// (total_time split evenly across phases), extract the logic, and verify
 /// it against spec.expected. Throws glva::InvalidArgument for invalid
-/// analyzer parameters (including a spill sink without a spill_dir, or
-/// the digitize sink combined with the reference backend),
+/// analyzer parameters (including a spill sink without a spill_dir),
 /// glva::ValidationError for unsimulatable models, and glva::StorageError
 /// when a spill file cannot be written or read back.
 [[nodiscard]] ExperimentResult run_experiment(const circuits::CircuitSpec& spec,

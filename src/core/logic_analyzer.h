@@ -15,35 +15,11 @@
 /// species.
 namespace glva::core {
 
-/// Which digitized-stream representation the analysis stage runs on. Both
-/// backends produce bit-identical ExtractionResults (variation records,
-/// filter outcomes, expression, PFoBE, verification — pinned by the
-/// equivalence tests); they differ in speed and in whether
-/// `ExtractionResult::cases` materializes per-combination output streams.
-enum class AnalysisBackend {
-  /// Word-parallel bit-packed streams (logic::BitStream +
-  /// logic::CombinationIndex): the production path, O(2^N · samples / 64)
-  /// per stage. `cases` carries counts only (empty output_streams).
-  kPacked,
-  /// One-sample-at-a-time `std::vector<bool>` streams: the reference
-  /// implementation the packed path is cross-checked against; also the
-  /// only backend that materializes per-combination output streams (the
-  /// Figure 2/3 run-length displays need them).
-  kReference,
-};
-
-/// Backend name ("packed" / "reference") and its inverse; parse throws
-/// glva::InvalidArgument for unknown names.
-[[nodiscard]] const char* analysis_backend_name(AnalysisBackend backend);
-[[nodiscard]] AnalysisBackend parse_analysis_backend(const std::string& name);
-
-/// Largest input count the packed backend is auto-selected for. Packed
-/// work and mask memory grow as 2^N (2^N masks, O(2^N · N · samples / 64)
-/// ops) while the reference path grows as N · samples, so past ~6 inputs
-/// the reference is the better default; requests beyond this limit
-/// silently use the (bit-identical) reference path. Explicit
-/// analyze_packed callers may go up to logic::CombinationIndex::kMaxInputs.
-inline constexpr std::size_t kPackedAutoInputLimit = 6;
+/// The analysis stage has one production path (bit-packed streams split
+/// into `logic::combination_segments`); the enum survives with that single
+/// value only because AnalyzerConfig::backend is still spelled by callers
+/// outside the library (see below).
+enum class AnalysisBackend { kPacked };
 
 /// The algorithm's initial parameters (the paper's N, ThVAL, FOV_UD, IS,
 /// OS; N is implied by IS, and SDAn is the trace argument).
@@ -55,9 +31,10 @@ struct AnalyzerConfig {
   /// (0, 1]: Filter 1 accepts a combination iff FOV_EST < fov_ud. The
   /// paper allows up to 25% variation (0.25).
   double fov_ud = 0.25;
-  /// Stream representation the stages run on. Defaults to the packed path;
-  /// inputs beyond kPackedAutoInputLimit silently fall back to the
-  /// (bit-identical) reference path, which handles up to 16.
+  /// Read by nothing: the packed path is the only one. Kept so that
+  /// aggregate initializers naming it (the benchmark's
+  /// `AnalyzerConfig{threshold, fov_ud, AnalysisBackend::kPacked}`) still
+  /// compile; it goes when those callers drop it.
   AnalysisBackend backend = AnalysisBackend::kPacked;
 };
 
@@ -68,7 +45,7 @@ struct ExtractionResult {
   std::string output_name;
   AnalyzerConfig config;
 
-  CaseAnalysis cases;             ///< Case_I + logged output streams
+  CaseAnalysis cases;             ///< Case_I (no logged output streams)
   VariationAnalysis variation;    ///< HIGH_O / O_Var / FOV_EST
   BoolConstruction construction;  ///< filters, expression, PFoBE
 
@@ -90,7 +67,7 @@ struct ExtractionResult {
 class LogicAnalyzer {
 public:
   /// Throws glva::InvalidArgument unless config.threshold > 0 and
-  /// config.fov_ud is in (0, 1].
+  /// config.fov_ud is in (0, 1] (NaN fails both).
   explicit LogicAnalyzer(AnalyzerConfig config = {});
 
   /// Analyze a simulation trace, choosing `input_ids` (MSB first) as IS and
@@ -104,38 +81,25 @@ public:
                                          const std::string& output_id) const;
 
   /// Analyze pre-digitized streams (used by unit tests and the Figure 3
-  /// reproduction, which starts from constructed binary streams). Under
-  /// the packed backend the streams are packed first, so both entry points
-  /// agree with `analyze` bit for bit.
-  ///
-  /// Requires one name per input stream; throws glva::InvalidArgument when
-  /// streams have mismatched lengths, there are no inputs, or there are
-  /// more than 16 of them.
+  /// reproduction, which starts from constructed binary streams). The
+  /// streams are packed first, so both entry points agree with `analyze`
+  /// bit for bit. Same validation as analyze_packed.
   [[nodiscard]] ExtractionResult analyze_digital(
       const DigitalData& data, std::vector<std::string> input_names,
       std::string output_name) const;
 
-  /// Analyze pre-packed streams directly (no conversion; the fast path the
-  /// packed `analyze` uses internally, exposed for benches and tests).
-  /// Same validation as analyze_digital; note the backend switch does not
-  /// apply here — this entry point is always packed.
+  /// Algorithm 1 lines 5-7 over pre-packed streams — the one production
+  /// path, which `analyze` and `analyze_digital` feed: `analyze_segments`
+  /// (lines 5-6, per combination segment), then `construct_bool_expr`.
+  /// Bit-identical to analyze_variation(analyze_cases(...)) on the same
+  /// streams, for any input count up to 16.
+  ///
+  /// Requires one name per input stream; throws glva::InvalidArgument when
+  /// streams have mismatched lengths, there are no inputs, or there are
+  /// more than 16 of them.
   [[nodiscard]] ExtractionResult analyze_packed(
       const PackedDigitalData& data, std::vector<std::string> input_names,
       std::string output_name) const;
-
-  /// Packed analysis over a caller-provided combination index — the
-  /// index-reuse path of `threshold_sweep_redigitize`: when several
-  /// threshold points digitize the (clamped) input streams identically,
-  /// they share one index and only the output stream is re-digitized per
-  /// point. `index` must have been built from this analysis's digitized
-  /// inputs; results are then bit-identical to `analyze_packed` on the
-  /// matching PackedDigitalData. Always packed (no backend switch).
-  ///
-  /// Throws glva::InvalidArgument when input_names.size() !=
-  /// index.input_count() or output.size() != index.sample_count().
-  [[nodiscard]] ExtractionResult analyze_packed_shared(
-      const logic::CombinationIndex& index, const logic::BitStream& output,
-      std::vector<std::string> input_names, std::string output_name) const;
 
   [[nodiscard]] const AnalyzerConfig& config() const noexcept { return config_; }
 

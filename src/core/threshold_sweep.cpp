@@ -1,16 +1,10 @@
 #include "core/threshold_sweep.h"
 
-#include <chrono>
-
-#include "core/adc.h"
 #include "exec/parallel_runner.h"
-#include "util/timer.h"
 
 namespace glva::core {
 
 namespace {
-
-using util::seconds_since;
 
 /// Give every point of a spilling sweep its own .glvt file: the points
 /// share the base seed (common random numbers), so the default
@@ -84,100 +78,17 @@ void threshold_sweep_redigitize(const circuits::CircuitSpec& spec,
   if (base_run_config.sink == store::SinkKind::kDigitize) {
     base_run_config.sink = store::SinkKind::kMemory;
   }
-  ExperimentResult base = run_experiment(spec, base_run_config);
+  const ExperimentResult base = run_experiment(spec, base_run_config);
 
-  const bool packed = base_config.backend == AnalysisBackend::kPacked &&
-                      spec.input_ids.size() <= kPackedAutoInputLimit;
-  if (!packed) {
-    // Reference (or beyond-auto-limit) path: plain per-point re-analysis.
-    runner.run_reduce<ThresholdPoint>(
-        thresholds.size(),
-        [&](std::size_t i) {
-          ExperimentConfig config = base_config;
-          config.threshold = thresholds[i];
-          config.input_high_level = base_config.high_level();
-          ExperimentResult point = reanalyze(spec, config, base.sweep);
-          point.simulate_seconds = 0.0;  // shared simulation, not re-run
-          return ThresholdPoint{thresholds[i], std::move(point)};
-        },
-        [&](std::size_t i, ThresholdPoint&& point) {
-          if (observer) observer(i, std::move(point));
-        });
-    return;
-  }
-
-  // Packed path with index reuse: the inputs are *clamped*, so their
-  // digitized bits only change when the threshold crosses the drive level
-  // — for the usual dense sweep below the input level, every point
-  // digitizes the inputs identically. Digitize the input planes for every
-  // point (fanned out over the runner), group points by plane equality,
-  // and build one CombinationIndex (the expensive 2^N-mask pass) per
-  // distinct group; each point then only re-digitizes the output stream.
-  // Results are bit-identical to the per-point reanalyze (the test suite
-  // pins this).
-  std::vector<std::vector<logic::BitStream>> point_inputs =
-      runner.map<std::vector<logic::BitStream>>(
-          thresholds.size(), [&](std::size_t i) {
-            std::vector<logic::BitStream> inputs;
-            inputs.reserve(spec.input_ids.size());
-            for (const auto& id : spec.input_ids) {
-              inputs.push_back(
-                  adc_packed(base.sweep.trace.series(id), thresholds[i]));
-            }
-            return inputs;
-          });
-
-  struct InputClass {
-    std::vector<logic::BitStream> inputs;
-    logic::CombinationIndex index;
-  };
-  std::vector<InputClass> classes;
-  std::vector<std::size_t> class_of(thresholds.size(), 0);
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    std::size_t match = classes.size();
-    for (std::size_t k = 0; k < classes.size(); ++k) {
-      if (classes[k].inputs == point_inputs[i]) {
-        match = k;
-        break;
-      }
-    }
-    if (match == classes.size()) {
-      logic::CombinationIndex index(point_inputs[i]);
-      classes.push_back(
-          InputClass{std::move(point_inputs[i]), std::move(index)});
-    }
-    // Duplicates are dropped as soon as they are classified, so the
-    // P×N-plane transient of the parallel digitization decays to one
-    // plane set per *class* before the analysis fan-out below.
-    point_inputs[i] = {};
-    class_of[i] = match;
-  }
-  point_inputs.clear();
-  point_inputs.shrink_to_fit();
-
+  // ...then one analysis per threshold over the shared trace.
   runner.run_reduce<ThresholdPoint>(
       thresholds.size(),
       [&](std::size_t i) {
         ExperimentConfig config = base_config;
         config.threshold = thresholds[i];
         config.input_high_level = base_config.high_level();
-
-        ExperimentResult point;
-        point.circuit_name = spec.name;
-        point.config = config;
+        ExperimentResult point = reanalyze(spec, config, base.sweep);
         point.simulate_seconds = 0.0;  // shared simulation, not re-run
-
-        LogicAnalyzer analyzer(
-            AnalyzerConfig{config.threshold, config.fov_ud, config.backend});
-        const auto analyze_start = std::chrono::steady_clock::now();
-        const logic::BitStream output = adc_packed(
-            base.sweep.trace.series(spec.output_id), thresholds[i]);
-        point.extraction = analyzer.analyze_packed_shared(
-            classes[class_of[i]].index, output, spec.input_ids,
-            spec.output_id);
-        point.analyze_seconds = seconds_since(analyze_start);
-
-        point.verification = verify(point.extraction, spec.expected);
         return ThresholdPoint{thresholds[i], std::move(point)};
       },
       [&](std::size_t i, ThresholdPoint&& point) {

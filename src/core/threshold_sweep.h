@@ -67,15 +67,8 @@ void threshold_sweep(const circuits::CircuitSpec& spec,
 /// and only re-digitizes at each threshold — an ablation that isolates the
 /// ADC's contribution to Figure 5's effect from the input-drive
 /// contribution. The shared simulation uses base_config.seed directly; the
-/// per-threshold re-analyses are fanned out across `jobs` workers. Under
-/// the default packed backend the clamped input streams digitize
-/// identically for every threshold at or below the drive level, so after
-/// a parallel per-point input digitization the points are grouped by
-/// their digitized input planes and share one `logic::CombinationIndex`
-/// per group — the 2^N-mask construction (the expensive part) runs once
-/// per *group*, and each point's job re-digitizes only the output stream
-/// before the word-parallel stages. Results are bit-identical to a
-/// per-point re-analysis. A
+/// per-threshold re-analyses (`reanalyze`, which digitizes the inputs and
+/// the output at that threshold) are fanned out across `jobs` workers. A
 /// digitize sink on the base config falls back to the (bit-identical)
 /// memory path for the shared run, which must keep the analog trace.
 [[nodiscard]] ThresholdSweepResult threshold_sweep_redigitize(

@@ -1,8 +1,20 @@
 #include "core/variation_analyzer.h"
 
+#include "logic/combination_segments.h"
 #include "util/errors.h"
 
 namespace glva::core {
+
+namespace {
+
+void set_fov(VariationRecord& record) {
+  record.fov_est = record.case_count > 0
+                       ? static_cast<double>(record.variation_count) /
+                             static_cast<double>(record.case_count)
+                       : 0.0;
+}
+
+}  // namespace
 
 VariationAnalysis analyze_variation(const CaseAnalysis& cases) {
   VariationAnalysis analysis;
@@ -23,39 +35,47 @@ VariationAnalysis analyze_variation(const CaseAnalysis& cases) {
       previous = bit;
       first = false;
     }
-    out.fov_est = record.case_count > 0
-                      ? static_cast<double>(out.variation_count) /
-                            static_cast<double>(record.case_count)
-                      : 0.0;
+    set_fov(out);
   }
   return analysis;
 }
 
-VariationAnalysis analyze_variation_packed(const PackedCaseAnalysis& cases) {
-  return analyze_variation_packed(cases.index, cases.output);
-}
-
-VariationAnalysis analyze_variation_packed(
-    const logic::CombinationIndex& index, const logic::BitStream& output) {
-  if (output.size() != index.sample_count()) {
-    throw InvalidArgument(
-        "analyze_variation_packed: output length does not match the index");
+VariationAnalysis analyze_segments(const PackedDigitalData& data) {
+  for (const logic::BitStream& input : data.inputs) {
+    if (input.size() != data.sample_count()) {
+      throw InvalidArgument(
+          "analyze_segments: input/output stream lengths differ");
+    }
   }
-  VariationAnalysis analysis;
-  analysis.input_count = index.input_count();
-  analysis.records.resize(index.combination_count());
+  // Validates the input count before 2^N records are sized.
+  const std::vector<logic::CombinationSegment> segments =
+      logic::combination_segments(data.inputs);
 
-  for (std::size_t c = 0; c < analysis.records.size(); ++c) {
-    VariationRecord& out = analysis.records[c];
-    const logic::BitStream& mask = index.mask(c);
-    out.combination = c;
-    out.case_count = index.count(c);
-    out.high_count = logic::and_popcount(mask, output);
-    out.variation_count = logic::masked_transition_count(mask, output);
-    out.fov_est = out.case_count > 0
-                      ? static_cast<double>(out.variation_count) /
-                            static_cast<double>(out.case_count)
-                      : 0.0;
+  const std::size_t n = data.input_count();
+  const std::size_t combinations = std::size_t{1} << n;
+  VariationAnalysis analysis;
+  analysis.input_count = n;
+  analysis.records.resize(combinations);
+  // Each combination's last logged output bit (-1 before its first
+  // segment): a combination resumed after a gap continues its logged
+  // stream, so the first sample of the new segment compares against it.
+  std::vector<signed char> last(combinations, -1);
+  const logic::BitStream& output = data.output;
+  for (const logic::CombinationSegment& segment : segments) {
+    VariationRecord& record = analysis.records[segment.combination];
+    record.case_count += segment.end - segment.begin;
+    record.high_count += output.popcount(segment.begin, segment.end);
+    record.variation_count +=
+        output.transition_count(segment.begin, segment.end);
+    signed char& previous = last[segment.combination];
+    if (previous >= 0 && (previous != 0) != output[segment.begin]) {
+      ++record.variation_count;
+    }
+    previous = output[segment.end - 1] ? 1 : 0;
+  }
+  for (std::size_t c = 0; c < combinations; ++c) {
+    analysis.records[c].combination = c;
+    set_fov(analysis.records[c]);
   }
   return analysis;
 }

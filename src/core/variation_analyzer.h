@@ -10,11 +10,12 @@
 /// (HIGH_O) and "how many times the output varies, i.e. changing 0-to-1 and
 /// 1-to-0" (O_Var).
 ///
-/// Like the CaseAnalyzer, it exists in a reference form (per-bit loop over
-/// the materialized streams) and a packed form (popcounts over
-/// mask-selected words). Both produce bit-identical VariationAnalysis
-/// values — HIGH_O, O_Var, and Case_I are integers, and FOV_EST divides
-/// the same integers in the same order.
+/// Two implementations: `analyze_segments`, the production path, counts
+/// Case_I, HIGH_O and O_Var per combination segment of bit-packed streams;
+/// `analyze_variation` is its reference oracle over the materialized
+/// per-combination streams of `analyze_cases`. Both produce bit-identical
+/// VariationAnalysis values — HIGH_O, O_Var, and Case_I are integers, and
+/// FOV_EST divides the same integers in the same order.
 namespace glva::core {
 
 /// Per-combination stability statistics.
@@ -41,22 +42,17 @@ struct VariationAnalysis {
 /// O(samples) total across combinations.
 [[nodiscard]] VariationAnalysis analyze_variation(const CaseAnalysis& cases);
 
-/// Packed twin of `analyze_variation`: HIGH_O[c] =
-/// popcount(mask(c) & output) and O_Var[c] = masked_transition_count(
-/// mask(c), output) — the compacted-stream transition count, so a
-/// combination interrupted and resumed by the sweep still compares its
-/// last pre-gap sample against its first post-gap sample, exactly like the
-/// reference's logged stream. Bit-identical to analyze_variation(
-/// analyze_cases(...)) on the same digitized data. O(2^N · samples / 64).
-[[nodiscard]] VariationAnalysis analyze_variation_packed(
-    const PackedCaseAnalysis& analysis);
-
-/// Shared-index form: identical counting over a borrowed index and output
-/// stream (the index must have been built from this output's digitized
-/// input streams — same sample count). Lets a re-digitizing threshold
-/// sweep reuse one index across points without copying its 2^N masks.
-/// Throws glva::InvalidArgument when output.size() != index.sample_count().
-[[nodiscard]] VariationAnalysis analyze_variation_packed(
-    const logic::CombinationIndex& index, const logic::BitStream& output);
+/// Algorithm 1 lines 5-6 over bit-packed streams, per combination segment
+/// (logic::combination_segments): Case_I adds the segment length, HIGH_O
+/// a range popcount of the output, and O_Var the transitions inside the
+/// segment plus one when the combination was seen before and its last
+/// logged output bit differs from the segment's first — the logged stream
+/// of a combination interrupted and later resumed continues across the
+/// gap. Bit-identical to analyze_variation(analyze_cases(unpack(data)))
+/// for every input count up to 16. Throws glva::InvalidArgument when the
+/// streams have mismatched lengths, there are no inputs, or there are
+/// more than 16 of them. O(N · (samples/64 + segments)) time plus
+/// O(2^N) for the records.
+[[nodiscard]] VariationAnalysis analyze_segments(const PackedDigitalData& data);
 
 }  // namespace glva::core

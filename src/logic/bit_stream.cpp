@@ -122,6 +122,66 @@ std::size_t BitStream::transition_count() const {
 
 namespace {
 
+/// Ones at bit positions [lo, hi] of a word (lo <= hi < 64).
+std::uint64_t bit_span(std::size_t lo, std::size_t hi) {
+  return (~std::uint64_t{0} << lo) & (~std::uint64_t{0} >> (63 - hi));
+}
+
+void require_range(std::size_t begin, std::size_t end, std::size_t size,
+                   const char* what) {
+  if (begin > end || end > size) {
+    throw InvalidArgument(std::string(what) + ": range out of bounds");
+  }
+}
+
+}  // namespace
+
+std::size_t BitStream::popcount(std::size_t begin, std::size_t end) const {
+  require_range(begin, end, size_, "BitStream::popcount");
+  if (begin == end) return 0;
+  const std::size_t first = begin / kWordBits;
+  const std::size_t last = (end - 1) / kWordBits;
+  const std::size_t lo = begin % kWordBits;
+  const std::size_t hi = (end - 1) % kWordBits;
+  if (first == last) {
+    return static_cast<std::size_t>(
+        std::popcount(words_[first] & bit_span(lo, hi)));
+  }
+  return static_cast<std::size_t>(
+             std::popcount(words_[first] & bit_span(lo, kWordBits - 1))) +
+         simd::active().popcount_words(words_.data() + first + 1,
+                                       last - first - 1) +
+         static_cast<std::size_t>(std::popcount(words_[last] &
+                                                bit_span(0, hi)));
+}
+
+std::size_t BitStream::transition_count(std::size_t begin,
+                                        std::size_t end) const {
+  require_range(begin, end, size_, "BitStream::transition_count");
+  if (end - begin < 2) return 0;
+  const std::size_t first = begin / kWordBits;
+  const std::size_t last = (end - 1) / kWordBits;
+  const std::size_t lo = begin % kWordBits;
+  const std::size_t hi = (end - 1) % kWordBits;
+  if (first == last) {
+    const std::uint64_t w = words_[first];
+    return static_cast<std::size_t>(
+        std::popcount((w ^ (w << 1)) & bit_span(lo + 1, hi)));
+  }
+  // The kernel counts every position in (64·first, end); drop the ones at
+  // or below `begin`, whose predecessor lies outside the range.
+  std::size_t count = simd::active().transition_count_words(
+      words_.data() + first, last - first + 1, bit_span(0, hi));
+  if (lo != 0) {
+    const std::uint64_t w = words_[first];
+    count -= static_cast<std::size_t>(
+        std::popcount((w ^ (w << 1)) & bit_span(1, lo)));
+  }
+  return count;
+}
+
+namespace {
+
 /// Shared size check for the binary word-parallel operations.
 void require_same_size(const BitStream& a, const BitStream& b,
                        const char* what) {
@@ -167,62 +227,6 @@ BitStream BitStream::operator~() const {
     out.set_word(w, ~words_[w]);  // set_word re-masks the tail
   }
   return out;
-}
-
-std::size_t and_popcount(const BitStream& a, const BitStream& b) {
-  require_same_size(a, b, "and_popcount");
-  const std::span<const std::uint64_t> wa = a.words();
-  const std::span<const std::uint64_t> wb = b.words();
-  return simd::active().and_popcount_words(wa.data(), wb.data(), wa.size());
-}
-
-std::size_t masked_transition_count(const BitStream& mask,
-                                    const BitStream& stream) {
-  require_same_size(mask, stream, "masked_transition_count");
-  const std::span<const std::uint64_t> mask_words = mask.words();
-  const std::span<const std::uint64_t> stream_words = stream.words();
-
-  // Word-parallel common case — transitions between consecutive samples
-  // that are both selected — is the dispatched bulk kernel.
-  std::size_t count = simd::active().masked_pair_transitions(
-      mask_words.data(), stream_words.data(), mask_words.size());
-
-  // Run starts (a selected sample whose predecessor sample is not
-  // selected) are patched scalar: compare against the most recent
-  // selected sample across the gap. Rare — one per input-combination
-  // phase in sweep data.
-  std::uint64_t carry_m = 0;  // bit 0 := last mask bit of the previous word
-  bool have_prev = false;     // a selected sample has been seen
-  bool prev_bit = false;      // stream bit of the most recent selected sample
-
-  for (std::size_t w = 0; w < mask_words.size(); ++w) {
-    const std::uint64_t m = mask_words[w];
-    const std::uint64_t s = stream_words[w];
-    if (m != 0) {
-      const std::uint64_t m_prev = (m << 1) | carry_m;
-      std::uint64_t starts = m & ~m_prev;
-      while (starts != 0) {
-        const int p = std::countr_zero(starts);
-        starts &= starts - 1;
-        const std::uint64_t below =
-            m & ((p == 0) ? 0 : ((std::uint64_t{1} << p) - 1));
-        bool have = have_prev;
-        bool last = prev_bit;
-        if (below != 0) {
-          const int q = BitStream::kWordBits - 1 - std::countl_zero(below);
-          have = true;
-          last = ((s >> q) & 1U) != 0;
-        }
-        if (have && (((s >> p) & 1U) != 0) != last) ++count;
-      }
-
-      const int top = BitStream::kWordBits - 1 - std::countl_zero(m);
-      prev_bit = ((s >> top) & 1U) != 0;
-      have_prev = true;
-    }
-    carry_m = m >> (BitStream::kWordBits - 1);
-  }
-  return count;
 }
 
 }  // namespace glva::logic

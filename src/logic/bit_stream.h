@@ -112,6 +112,18 @@ public:
   /// kernel set. O(size()/64).
   [[nodiscard]] std::size_t transition_count() const;
 
+  /// Range forms over the samples [begin, end) — the per-segment HIGH_O
+  /// and O_Var counters of the analysis stage. popcount counts the
+  /// 1-bits in the range; transition_count counts the samples k with
+  /// begin < k < end that differ from sample k - 1, so a range never
+  /// sees a transition across its own edges. Both run on the same
+  /// dispatched kernels as the whole-stream forms; a range inside one
+  /// word is a single masked popcount. Throw glva::InvalidArgument unless
+  /// begin <= end <= size(). O((end - begin)/64 + 1).
+  [[nodiscard]] std::size_t popcount(std::size_t begin, std::size_t end) const;
+  [[nodiscard]] std::size_t transition_count(std::size_t begin,
+                                             std::size_t end) const;
+
   // Word-parallel bitwise combinations. The binary operators throw
   // glva::InvalidArgument when the sizes differ; operator~ re-masks the
   // tail so the invariant holds. All are O(size()/64).
@@ -133,21 +145,5 @@ private:
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-/// popcount(a & b) without materializing the intermediate stream — the
-/// HIGH_O counter of the packed analysis stage. Throws glva::InvalidArgument
-/// when the sizes differ. O(size/64).
-[[nodiscard]] std::size_t and_popcount(const BitStream& a, const BitStream& b);
-
-/// Transitions of `stream` restricted to the samples `mask` selects, in
-/// sample order — exactly the transition count of the *compacted* stream
-/// the reference CaseAnalyzer logs per input combination (the paper's
-/// O_Var), computed without materializing it. Two selected samples form a
-/// transition iff their stream bits differ and no selected sample lies
-/// between them; gaps (runs of unselected samples) do not reset the
-/// comparison. Throws glva::InvalidArgument when the sizes differ.
-/// O(size/64) plus O(1) per selection gap.
-[[nodiscard]] std::size_t masked_transition_count(const BitStream& mask,
-                                                  const BitStream& stream);
 
 }  // namespace glva::logic

@@ -20,17 +20,9 @@ const KernelSet* avx512_kernels() noexcept;
 void scalar_pack_threshold_block(const double* samples, std::size_t words,
                                  double threshold, std::uint64_t* out);
 std::size_t scalar_popcount_words(const std::uint64_t* words, std::size_t n);
-std::size_t scalar_and_popcount_words(const std::uint64_t* a,
-                                      const std::uint64_t* b, std::size_t n);
 std::size_t scalar_transition_count_words(const std::uint64_t* words,
                                           std::size_t n,
                                           std::uint64_t tail_mask);
-std::size_t scalar_masked_pair_transitions(const std::uint64_t* mask,
-                                           const std::uint64_t* stream,
-                                           std::size_t n);
-void scalar_combine_masks(const std::uint64_t* const* planes,
-                          const std::uint64_t* invert, std::size_t inputs,
-                          std::size_t words, std::uint64_t* out);
 void scalar_or_shift_down_words(const std::uint64_t* src, std::size_t n,
                                 std::size_t shift, std::uint64_t* dst);
 void scalar_and_shift_down_words(const std::uint64_t* src, std::size_t n,

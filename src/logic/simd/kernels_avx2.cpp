@@ -55,19 +55,6 @@ std::size_t avx2_popcount_words(const std::uint64_t* words, std::size_t n) {
   return count;
 }
 
-std::size_t avx2_and_popcount_words(const std::uint64_t* a,
-                                    const std::uint64_t* b, std::size_t n) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    count += popcount256(_mm256_and_si256(loadu(a + i), loadu(b + i)));
-  }
-  for (; i < n; ++i) {
-    count += static_cast<std::size_t>(_mm_popcnt_u64(a[i] & b[i]));
-  }
-  return count;
-}
-
 /// diff vector for words [i, i+4): v ^ ((v << 1) | (prev >> 63)), where
 /// prev is the unaligned load one word behind — each lane sees its own
 /// predecessor's top bit, so the cross-word carry chain vectorizes.
@@ -102,56 +89,6 @@ std::size_t avx2_transition_count_words(const std::uint64_t* words,
       words[n - 1] ^ ((words[n - 1] << 1) | (words[n - 2] >> 63));
   count += static_cast<std::size_t>(_mm_popcnt_u64(diff & tail_mask));
   return count;
-}
-
-std::size_t avx2_masked_pair_transitions(const std::uint64_t* mask,
-                                         const std::uint64_t* stream,
-                                         std::size_t n) {
-  if (n == 0) return 0;
-  // Word 0: zero carries.
-  std::size_t count = static_cast<std::size_t>(_mm_popcnt_u64(
-      mask[0] & (mask[0] << 1) & (stream[0] ^ (stream[0] << 1))));
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i m = loadu(mask + i);
-    const __m256i mp = _mm256_or_si256(_mm256_slli_epi64(m, 1),
-                                       _mm256_srli_epi64(loadu(mask + i - 1), 63));
-    const __m256i s = loadu(stream + i);
-    const __m256i sp = _mm256_or_si256(
-        _mm256_slli_epi64(s, 1), _mm256_srli_epi64(loadu(stream + i - 1), 63));
-    count += popcount256(
-        _mm256_and_si256(_mm256_and_si256(m, mp), _mm256_xor_si256(s, sp)));
-  }
-  for (; i < n; ++i) {
-    const std::uint64_t mp = (mask[i] << 1) | (mask[i - 1] >> 63);
-    const std::uint64_t sp = (stream[i] << 1) | (stream[i - 1] >> 63);
-    count += static_cast<std::size_t>(
-        _mm_popcnt_u64(mask[i] & mp & (stream[i] ^ sp)));
-  }
-  return count;
-}
-
-void avx2_combine_masks(const std::uint64_t* const* planes,
-                        const std::uint64_t* invert, std::size_t inputs,
-                        std::size_t words, std::uint64_t* out) {
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    __m256i bits =
-        _mm256_xor_si256(loadu(planes[0] + w), _mm256_set1_epi64x(
-                             static_cast<long long>(invert[0])));
-    for (std::size_t i = 1; i < inputs; ++i) {
-      bits = _mm256_and_si256(
-          bits, _mm256_xor_si256(loadu(planes[i] + w),
-                                 _mm256_set1_epi64x(
-                                     static_cast<long long>(invert[i]))));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), bits);
-  }
-  for (; w < words; ++w) {
-    std::uint64_t bits = planes[0][w] ^ invert[0];
-    for (std::size_t i = 1; i < inputs; ++i) bits &= planes[i][w] ^ invert[i];
-    out[w] = bits;
-  }
 }
 
 // The monitor shift kernels below tolerate dst == src because every
@@ -261,10 +198,7 @@ const KernelSet* avx2_kernels() noexcept {
       "avx2",
       &avx2_pack_threshold_block,
       &avx2_popcount_words,
-      &avx2_and_popcount_words,
       &avx2_transition_count_words,
-      &avx2_masked_pair_transitions,
-      &avx2_combine_masks,
       &avx2_or_shift_down_words,
       &avx2_and_shift_down_words,
       &avx2_or_shift_up_words,

@@ -37,10 +37,7 @@ const KernelSet* sse2_kernels() noexcept {
       "sse2",
       &sse2_pack_threshold_block,
       &scalar_popcount_words,
-      &scalar_and_popcount_words,
       &scalar_transition_count_words,
-      &scalar_masked_pair_transitions,
-      &scalar_combine_masks,
       &scalar_or_shift_down_words,
       &scalar_and_shift_down_words,
       &scalar_or_shift_up_words,

@@ -6,11 +6,9 @@
 #include <utility>
 
 #include "core/adc.h"
-#include "core/logic_analyzer.h"
 #include "exec/seed_sequence.h"
-#include "logic/combination_index.h"
+#include "logic/combination_segments.h"
 #include "props/monitor.h"
-#include "props/reference.h"
 #include "sim/virtual_lab.h"
 #include "store/digitizing_sink.h"
 #include "store/spill_reader.h"
@@ -42,7 +40,7 @@ sim::VirtualLab make_lab(const circuits::CircuitSpec& spec,
 
 /// The spill acquisition: stream the sweep to its .glvt (one file per
 /// replicate, same naming as the ensemble runner) and hand back the file
-/// path. What happens next depends on the backend — see run_one.
+/// path for run_one to replay.
 std::string spill_sweep(const circuits::CircuitSpec& spec,
                         const core::ExperimentConfig& config) {
   sim::VirtualLab lab = make_lab(spec, config);
@@ -54,26 +52,44 @@ std::string spill_sweep(const circuits::CircuitSpec& spec,
   spill_options.seed = config.seed;
   spill_options.sampling_period = config.sampling_period;
   store::SpillSink sink(path, spill_options);
-  // The schedule is not needed here: combination masks are rebuilt from
-  // the packed input planes by CombinationIndex.
+  // The schedule is not needed here: combination segments are rebuilt
+  // from the packed input planes.
   static_cast<void>(
       lab.run_combination_sweep_into(config.total_time, config.high_level(),
                                      sink));
   return path;
 }
 
-/// Packed evaluation of one replicate: one monitor pass per property,
-/// then per-combination reduction through the CombinationIndex masks —
-/// satisfaction counts via and_popcount, the first violation via the
-/// first nonzero word of mask & ~verdict.
-CheckReplicate evaluate_packed_replicate(
-    const core::PackedDigitalData& data, const std::vector<std::string>& names,
-    const std::vector<PropertyPtr>& properties, std::uint64_t seed) {
+/// First zero of `verdict` in samples [begin, end), or kNoViolation.
+std::size_t first_zero(const logic::BitStream& verdict, std::size_t begin,
+                       std::size_t end) {
+  const std::span<const std::uint64_t> v = verdict.words();
+  for (std::size_t w = begin / 64; w * 64 < end; ++w) {
+    std::uint64_t bad = ~v[w];
+    if (w == begin / 64) bad &= ~std::uint64_t{0} << (begin % 64);
+    if (bad == 0) continue;
+    const std::size_t k =
+        w * 64 + static_cast<std::size_t>(std::countr_zero(bad));
+    return k < end ? k : kNoViolation;
+  }
+  return kNoViolation;
+}
+
+/// Evaluation of one replicate: one monitor pass per property, then a
+/// per-combination reduction over the combination segments — satisfaction
+/// counts by range popcount, the first violation as the first zero of the
+/// verdict in the earliest segment of the combination that has one.
+CheckReplicate evaluate_replicate(const core::PackedDigitalData& data,
+                                  const std::vector<std::string>& names,
+                                  const std::vector<PropertyPtr>& properties,
+                                  std::uint64_t seed) {
   CheckReplicate replicate;
   replicate.seed = seed;
   replicate.sample_count = data.sample_count();
 
-  const logic::CombinationIndex index(data.inputs);
+  const std::vector<logic::CombinationSegment> segments =
+      logic::combination_segments(data.inputs);
+  const std::size_t combinations = std::size_t{1} << data.input_count();
   PackedNamedPlanes planes;
   planes.names = names;
   for (const logic::BitStream& input : data.inputs) {
@@ -83,95 +99,36 @@ CheckReplicate evaluate_packed_replicate(
 
   for (const PropertyPtr& property : properties) {
     const logic::BitStream verdict = evaluate_packed(*property, planes);
-    const std::span<const std::uint64_t> v = verdict.words();
 
     PropertyCheck check;
     check.property = to_string(*property);
     check.samples = data.sample_count();
-    for (std::size_t c = 0; c < index.combination_count(); ++c) {
-      const logic::BitStream& mask = index.mask(c);
-      const std::span<const std::uint64_t> m = mask.words();
-      CombinationCheck comb;
-      comb.combination = c;
-      comb.samples = index.count(c);
-      comb.satisfied = logic::and_popcount(mask, verdict);
-      for (std::size_t w = 0; w < m.size(); ++w) {
-        // ~v has ones in the tail, but the mask's zero tail kills them.
-        const std::uint64_t bad = m[w] & ~v[w];
-        if (bad != 0) {
-          comb.first_violation =
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bad));
-          break;
-        }
-      }
-      check.satisfied += comb.satisfied;
-      if (comb.first_violation < check.first_violation) {
-        check.first_violation = comb.first_violation;
-      }
-      check.combinations.push_back(comb);
-    }
-    replicate.properties.push_back(std::move(check));
-  }
-  return replicate;
-}
-
-/// Reference evaluation of one replicate: the per-sample loop over the
-/// naive verdict vector. Bit-identical to the packed path (the masks
-/// partition the samples, so the per-combination counts and the first
-/// violating index agree exactly).
-CheckReplicate evaluate_reference_replicate(
-    const core::DigitalData& data, const std::vector<std::string>& names,
-    const std::vector<PropertyPtr>& properties, std::uint64_t seed) {
-  CheckReplicate replicate;
-  replicate.seed = seed;
-  const std::size_t n = data.sample_count();
-  replicate.sample_count = n;
-  const std::size_t input_count = data.input_count();
-
-  // Combination id per sample, MSB-first input order.
-  std::vector<std::size_t> id(n, 0);
-  for (std::size_t i = 0; i < input_count; ++i) {
-    const std::vector<bool>& input = data.inputs[i];
-    const std::size_t bit = input_count - 1 - i;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (input[j]) id[j] |= std::size_t{1} << bit;
-    }
-  }
-
-  NamedPlanes planes;
-  planes.names = names;
-  planes.planes = data.inputs;
-  planes.planes.push_back(data.output);
-
-  const std::size_t combinations = std::size_t{1} << input_count;
-  for (const PropertyPtr& property : properties) {
-    const std::vector<bool> verdict = evaluate_reference(*property, planes);
-
-    PropertyCheck check;
-    check.property = to_string(*property);
-    check.samples = n;
     check.combinations.resize(combinations);
     for (std::size_t c = 0; c < combinations; ++c) {
       check.combinations[c].combination = c;
     }
-    for (std::size_t j = 0; j < n; ++j) {
-      CombinationCheck& comb = check.combinations[id[j]];
-      ++comb.samples;
-      if (verdict[j]) {
-        ++comb.satisfied;
-        ++check.satisfied;
-      } else {
-        if (comb.first_violation == kNoViolation) comb.first_violation = j;
-        if (check.first_violation == kNoViolation) check.first_violation = j;
+    for (const logic::CombinationSegment& segment : segments) {
+      CombinationCheck& comb = check.combinations[segment.combination];
+      const std::size_t length = segment.end - segment.begin;
+      const std::size_t satisfied =
+          verdict.popcount(segment.begin, segment.end);
+      comb.samples += length;
+      comb.satisfied += satisfied;
+      if (satisfied < length && comb.first_violation == kNoViolation) {
+        comb.first_violation = first_zero(verdict, segment.begin, segment.end);
+        if (check.first_violation == kNoViolation) {
+          check.first_violation = comb.first_violation;
+        }
       }
     }
+    check.satisfied = verdict.popcount();
     replicate.properties.push_back(std::move(check));
   }
   return replicate;
 }
 
 /// One replicate end to end: simulate under the configured sink, digitize
-/// into the configured representation, evaluate every property.
+/// into bit planes, evaluate every property.
 CheckReplicate run_one(const circuits::CircuitSpec& spec,
                        const core::ExperimentConfig& config,
                        const std::vector<std::string>& names,
@@ -201,47 +158,30 @@ CheckReplicate run_one(const circuits::CircuitSpec& spec,
         config.total_time, config.high_level(), sink));
     const core::PackedDigitalData data =
         core::take_digitized(sink, spec.input_ids.size());
-    return evaluate_packed_replicate(data, names, properties, config.seed);
+    return evaluate_replicate(data, names, properties, config.seed);
   }
 
-  // Same auto-fallback as the analyzer: past the packed limit the 2^N
-  // masks stop paying for themselves — the reference path is bit-identical.
-  const bool packed = config.backend == core::AnalysisBackend::kPacked &&
-                      spec.input_ids.size() <= core::kPackedAutoInputLimit;
-
   if (config.sink == store::SinkKind::kSpill) {
-    const std::string path = spill_sweep(spec, config);
-    store::SpillReader reader(path);
-    if (packed) {
-      // Out of core: replay the spill chunk-by-chunk into the streaming
-      // ADC, so resident memory stays one chunk of doubles plus the bit
-      // planes — the full trace is never re-materialized. Bit-identical
-      // to digitizing a read_all() trace (the DigitizingSink contract).
-      std::vector<std::string> tracked = spec.input_ids;
-      tracked.push_back(spec.output_id);
-      store::DigitizingSink digitizer(std::move(tracked), config.threshold);
-      reader.replay(digitizer);
-      const core::PackedDigitalData data =
-          core::take_digitized(digitizer, spec.input_ids.size());
-      return evaluate_packed_replicate(data, names, properties, config.seed);
-    }
-    const sim::Trace trace = reader.read_all();
-    const core::DigitalData data = core::digitize(
-        trace, spec.input_ids, spec.output_id, config.threshold);
-    return evaluate_reference_replicate(data, names, properties, config.seed);
+    // Out of core: replay the spill chunk-by-chunk into the streaming
+    // ADC, so resident memory stays one chunk of doubles plus the bit
+    // planes — the full trace is never re-materialized. Bit-identical to
+    // digitizing a read_all() trace (the DigitizingSink contract).
+    store::SpillReader reader(spill_sweep(spec, config));
+    std::vector<std::string> tracked = spec.input_ids;
+    tracked.push_back(spec.output_id);
+    store::DigitizingSink digitizer(std::move(tracked), config.threshold);
+    reader.replay(digitizer);
+    const core::PackedDigitalData data =
+        core::take_digitized(digitizer, spec.input_ids.size());
+    return evaluate_replicate(data, names, properties, config.seed);
   }
 
   sim::VirtualLab lab = make_lab(spec, config);
   const sim::Trace trace = std::move(
       lab.run_combination_sweep(config.total_time, config.high_level()).trace);
-  if (packed) {
-    const core::PackedDigitalData data = core::digitize_packed(
-        trace, spec.input_ids, spec.output_id, config.threshold);
-    return evaluate_packed_replicate(data, names, properties, config.seed);
-  }
-  const core::DigitalData data =
-      core::digitize(trace, spec.input_ids, spec.output_id, config.threshold);
-  return evaluate_reference_replicate(data, names, properties, config.seed);
+  const core::PackedDigitalData data = core::digitize_packed(
+      trace, spec.input_ids, spec.output_id, config.threshold);
+  return evaluate_replicate(data, names, properties, config.seed);
 }
 
 std::string violation_label(std::size_t index, double sampling_period) {
@@ -269,22 +209,8 @@ CheckResult run_check(const circuits::CircuitSpec& spec,
     if (!property) throw InvalidArgument("run_check: null property");
     validate_atoms(*property, names);
   }
-  // Mirror run_experiment's sink/backend validation up front, before any
+  // Mirror run_experiment's sink validation up front, before any
   // replicate simulates.
-  if (config.sink == store::SinkKind::kDigitize) {
-    if (config.backend != core::AnalysisBackend::kPacked) {
-      throw InvalidArgument(
-          "run_check: sink 'digitize' requires the packed analysis backend "
-          "(it produces bit-planes, not a trace)");
-    }
-    if (spec.input_ids.size() > core::kPackedAutoInputLimit) {
-      throw InvalidArgument(
-          "run_check: sink 'digitize' supports up to " +
-          std::to_string(core::kPackedAutoInputLimit) +
-          " inputs (packed-analysis limit); use sink 'mem' or 'spill' for "
-          "wider circuits");
-    }
-  }
   if (config.sink == store::SinkKind::kSpill && config.spill_dir.empty()) {
     throw InvalidArgument(
         "run_check: sink 'spill' requires a spill directory (--spill-dir)");

@@ -15,9 +15,9 @@
 /// `glva check` — temporal-property monitoring of simulated circuits.
 /// Simulates the usual input-combination sweep (same sinks, seeds, and
 /// digitization as `run_experiment`), then evaluates each property's
-/// per-sample verdict stream with the packed monitor (or the reference
-/// evaluator under --backend reference — results are bit-identical) and
-/// reduces it to per-input-combination satisfaction statistics. Replicate
+/// per-sample verdict stream with the packed monitor and reduces it to
+/// per-input-combination satisfaction statistics over the combination
+/// segments (logic/combination_segments.h). Replicate
 /// ensembles stream through exec::ParallelRunner::run_reduce exactly like
 /// core::run_ensemble: O(1) resident memory per replicate, an ordered
 /// observer tap for CSV export, and job-count-independent results.
@@ -108,11 +108,12 @@ using CheckObserver =
     std::function<void(std::size_t replicate, const CheckReplicate& result)>;
 
 /// Run `replicates` independent simulate→digitize→monitor replicates,
-/// seeded from (config.seed, replicate) via exec::SeedSequence. Properties
-/// are evaluated with the backend selected by config.backend; both
-/// backends produce bit-identical counts. Throws glva::InvalidArgument on
-/// zero replicates, an empty property list, a property referencing an
-/// unknown plane, or the sink/backend combinations run_experiment rejects.
+/// seeded from (config.seed, replicate) via exec::SeedSequence, for any
+/// input count up to 16 under every sink; the per-combination counts match
+/// the reference evaluator's (props/reference.h) bit for bit. Throws
+/// glva::InvalidArgument on zero replicates, an empty property list, a
+/// property referencing an unknown plane, or a spill sink without a
+/// spill directory.
 [[nodiscard]] CheckResult run_check(const circuits::CircuitSpec& spec,
                                     const core::ExperimentConfig& config,
                                     const std::vector<PropertyPtr>& properties,

@@ -42,7 +42,7 @@ InputSchedule InputSchedule::combination_sweep(
   const std::size_t n = input_ids.size();
   if (n == 0) throw InvalidArgument("combination_sweep: no inputs");
   if (n > 16) throw InvalidArgument("combination_sweep: too many inputs");
-  if (total_time <= 0.0) {
+  if (!(total_time > 0.0)) {
     throw InvalidArgument("combination_sweep: total_time must be positive");
   }
   const std::size_t combos = static_cast<std::size_t>(1) << n;

@@ -13,7 +13,7 @@ namespace glva::sim {
 TraceSampler::TraceSampler(const crn::ReactionNetwork& network,
                            double sampling_period, store::TraceSink& sink)
     : sampling_period_(sampling_period), sink_(&sink) {
-  if (sampling_period <= 0.0) {
+  if (!(sampling_period > 0.0)) {
     throw InvalidArgument("sampling_period must be positive");
   }
   const std::size_t species = network.species_names().size();
@@ -143,7 +143,7 @@ void DirectMethod::run_into(const crn::ReactionNetwork& network,
                             const InputSchedule& schedule, double duration,
                             const SimulationOptions& options,
                             store::TraceSink& sink) const {
-  if (duration <= 0.0) {
+  if (!(duration > 0.0)) {
     throw InvalidArgument("simulation duration must be positive");
   }
 

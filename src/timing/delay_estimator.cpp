@@ -33,7 +33,7 @@ DelayAnalysis estimate_delays(const sim::Trace& trace,
                               const sim::InputSchedule& schedule,
                               const std::string& output_id, double threshold,
                               std::size_t persistence) {
-  if (threshold <= 0.0) {
+  if (!(threshold > 0.0)) {
     throw InvalidArgument("estimate_delays: threshold must be positive");
   }
   if (trace.sample_count() == 0) {

@@ -1,5 +1,7 @@
 #include "util/cli.h"
 
+#include <cmath>
+
 #include "util/errors.h"
 #include "util/string_util.h"
 
@@ -60,7 +62,11 @@ std::string CliParser::get(const std::string& name) const {
 
 double CliParser::get_double(const std::string& name) const {
   const auto v = parse_double(get(name));
-  if (!v) throw InvalidArgument("option --" + name + " expects a number");
+  // NaN and infinities parse but are never meaningful option values: NaN
+  // slips past every `x <= 0` check downstream.
+  if (!v || !std::isfinite(*v)) {
+    throw InvalidArgument("option --" + name + " expects a finite number");
+  }
   return *v;
 }
 

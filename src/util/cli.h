@@ -24,6 +24,8 @@ public:
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Throws glva::InvalidArgument unless the value parses as a finite
+  /// number (NaN and ±inf are rejected).
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

@@ -1,8 +1,9 @@
 #pragma once
 
 // Shared fuzz-vs-naive machinery for the packed-analysis test suites
-// (test_bitstream, test_store, test_simd_kernels): seeded generators for
-// bool/word/double streams, the naive bit-counting references the
+// (test_bitstream, test_core, test_props, test_store, test_simd_kernels):
+// seeded generators for bool/word/double streams and combination planes,
+// a wide-circuit fixture, the naive bit-counting references the
 // word-parallel kernels are checked against, and the ragged block
 // slicings the streaming tests cut their deliveries into. Header-only so
 // each suite stays a single translation unit.
@@ -12,8 +13,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "circuits/circuit_spec.h"
+#include "gates/gate_library.h"
+#include "gates/netlist.h"
+#include "gates/netlist_to_sbml.h"
 #include "props/property.h"
 #include "sim/rng.h"
 
@@ -92,6 +99,82 @@ inline props::PropertyPtr random_property(std::size_t depth,
   }
 }
 
+/// `inputs` digitized input planes (MSB first) of `samples` samples, shaped
+/// like sweep data under stress: plateaus of 1..max_run samples (1 is
+/// per-sample flicker), each holding a combination drawn mostly from a
+/// pool of three, so combinations are regularly interrupted and later
+/// resumed.
+inline std::vector<std::vector<bool>> random_combination_planes(
+    std::size_t inputs, std::size_t samples, std::size_t max_run,
+    sim::Rng& rng) {
+  const std::uint64_t combinations = std::uint64_t{1} << inputs;
+  const std::uint64_t pool[] = {rng.below(combinations),
+                                rng.below(combinations),
+                                rng.below(combinations)};
+  std::vector<std::vector<bool>> planes(inputs, std::vector<bool>(samples));
+  std::size_t k = 0;
+  while (k < samples) {
+    const std::uint64_t combination =
+        rng.below(4) == 0 ? rng.below(combinations) : pool[rng.below(3)];
+    const std::size_t run = 1 + rng.below(max_run);
+    for (std::size_t j = 0; j < run && k < samples; ++j, ++k) {
+      for (std::size_t i = 0; i < inputs; ++i) {
+        planes[i][k] = ((combination >> (inputs - 1 - i)) & 1U) != 0;
+      }
+    }
+  }
+  return planes;
+}
+
+/// Input names "I0", "I1", ... (MSB first) for `inputs` inputs.
+inline std::vector<std::string> input_names(std::size_t inputs) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    // Appending (rather than "I" + to_string) keeps GCC 12's -Wrestrict
+    // false positive on string concatenation quiet.
+    std::string name = "I";
+    name += std::to_string(i);
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+/// An `inputs`-input circuit wider than the catalog's: a balanced tree of
+/// 2-input NOR gates (one standard-library repressor each, so 2 to 13
+/// inputs) compiled to SBML, reporting on GFP.
+inline circuits::CircuitSpec nor_tree_spec(std::size_t inputs) {
+  static const char* const kRepressors[] = {
+      "AmtR", "BetI", "BM3R1", "HlyIIR", "IcaRA", "LitR",
+      "LmrA", "PhlF", "PsrA",  "QacR",   "SrpR",  "TarA"};
+  const std::vector<std::string> names = input_names(inputs);
+  gates::Netlist netlist(names);
+  std::vector<gates::Net> level;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    level.push_back(gates::Net::input(i));
+  }
+  std::size_t used = 0;
+  while (level.size() > 1) {
+    std::vector<gates::Net> next;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(
+          netlist.add_nor(kRepressors[used++], level[i], level[i + 1]));
+    }
+    if (level.size() % 2 == 1) next.push_back(level.back());
+    level = std::move(next);
+  }
+  netlist.set_output(level.front());
+
+  circuits::CircuitSpec spec;
+  spec.name = "nor_tree";
+  spec.name += std::to_string(inputs);
+  spec.input_ids = names;
+  spec.output_id = "GFP";
+  spec.expected = netlist.ideal_truth_table();
+  spec.model =
+      gates::netlist_to_model(netlist, gates::GateLibrary::standard());
+  return spec;
+}
+
 // ----------------------------------------------------- naive references
 
 /// Reference popcount over the unpacked representation.
@@ -111,16 +194,15 @@ inline std::size_t naive_transitions(const std::vector<bool>& bits) {
   return count;
 }
 
-/// Reference masked transition count — the CaseAnalyzer semantics:
-/// compact the stream to the selected samples, then count adjacent
-/// differences.
-inline std::size_t naive_masked_transitions(const std::vector<bool>& mask,
-                                            const std::vector<bool>& stream) {
-  std::vector<bool> compacted;
-  for (std::size_t k = 0; k < mask.size(); ++k) {
-    if (mask[k]) compacted.push_back(stream[k]);
+/// Reference combination id of sample k (input 0 = MSB) — the
+/// CaseAnalyzer's per-sample classifier.
+inline std::size_t naive_combination(
+    const std::vector<std::vector<bool>>& planes, std::size_t k) {
+  std::size_t combination = 0;
+  for (const std::vector<bool>& plane : planes) {
+    combination = (combination << 1) | (plane[k] ? 1U : 0U);
   }
-  return naive_transitions(compacted);
+  return combination;
 }
 
 // ------------------------------------------------------- ragged slicing

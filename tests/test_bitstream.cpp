@@ -1,21 +1,20 @@
 // Unit tests for the bit-packed stream machinery (logic::BitStream,
-// logic::CombinationIndex) and its equivalence with the vector<bool>
+// logic::combination_segments) and its equivalence with the vector<bool>
 // reference path: edge cases (empty streams, non-word-multiple lengths,
 // tail-word masking), word-parallel op correctness against naive
-// re-implementations, and randomized packed-vs-reference fuzz over the
-// case/variation analyzers.
+// re-implementations, and randomized fuzz of the segment split and the
+// range counters the analysis stage runs on.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/adc.h"
-#include "core/case_analyzer.h"
-#include "core/variation_analyzer.h"
 #include "fuzz_util.h"
 #include "logic/bit_stream.h"
-#include "logic/combination_index.h"
+#include "logic/combination_segments.h"
 #include "sim/rng.h"
 #include "util/errors.h"
 
@@ -23,14 +22,15 @@ namespace {
 
 using namespace glva;
 using logic::BitStream;
-using logic::CombinationIndex;
+using logic::CombinationSegment;
 
 // Generators and naive references shared with test_store and
 // test_simd_kernels (tests/fuzz_util.h).
-using testutil::naive_masked_transitions;
+using testutil::naive_combination;
 using testutil::naive_popcount;
 using testutil::naive_transitions;
 using testutil::random_bools;
+using testutil::random_combination_planes;
 
 // ------------------------------------------------------------ edge cases
 
@@ -43,8 +43,8 @@ TEST(BitStream, EmptyStream) {
   EXPECT_EQ(empty.transition_count(), 0u);
   EXPECT_EQ(empty, BitStream::pack({}));
   EXPECT_EQ((~empty).size(), 0u);
-  EXPECT_EQ(logic::and_popcount(empty, BitStream()), 0u);
-  EXPECT_EQ(logic::masked_transition_count(empty, BitStream()), 0u);
+  EXPECT_EQ(empty.popcount(0, 0), 0u);
+  EXPECT_EQ(empty.transition_count(0, 0), 0u);
   EXPECT_TRUE(empty.unpack().empty());
 }
 
@@ -115,9 +115,10 @@ TEST(BitStream, RangeAndSizeChecks) {
   EXPECT_THROW((void)(stream & other), InvalidArgument);
   EXPECT_THROW((void)(stream | other), InvalidArgument);
   EXPECT_THROW((void)(stream ^ other), InvalidArgument);
-  EXPECT_THROW((void)logic::and_popcount(stream, other), InvalidArgument);
-  EXPECT_THROW((void)logic::masked_transition_count(stream, other),
-               InvalidArgument);
+  EXPECT_THROW((void)stream.popcount(0, 11), InvalidArgument);
+  EXPECT_THROW((void)stream.popcount(6, 5), InvalidArgument);
+  EXPECT_THROW((void)stream.transition_count(0, 11), InvalidArgument);
+  EXPECT_THROW((void)stream.transition_count(6, 5), InvalidArgument);
 }
 
 // --------------------------------------------- fuzz vs the naive reference
@@ -141,208 +142,96 @@ TEST(BitStream, FuzzBitwiseOpsMatchVectorBool) {
     EXPECT_EQ((a | b).unpack(), or_ref);
     EXPECT_EQ((a ^ b).unpack(), xor_ref);
     EXPECT_EQ((~a).unpack(), not_ref);
-    EXPECT_EQ(logic::and_popcount(a, b), naive_popcount(and_ref));
+    EXPECT_EQ((a & b).popcount(), naive_popcount(and_ref));
     EXPECT_EQ(a.popcount(), naive_popcount(ra));
     EXPECT_EQ(a.transition_count(), naive_transitions(ra));
   }
 }
 
-TEST(BitStream, FuzzMaskedTransitionCountMatchesCompactedReference) {
+TEST(BitStream, FuzzRangeCountsMatchNaive) {
+  // Ranges inside one word, across word boundaries, empty, single-sample,
+  // ending on the ragged tail, and the whole stream — every case of the
+  // range forms.
   sim::Rng rng(31);
-  for (int round = 0; round < 100; ++round) {
+  for (int round = 0; round < 300; ++round) {
     const std::size_t n = 1 + rng.below(500);
-    const std::vector<bool> mask = random_bools(n, rng);
-    const std::vector<bool> stream = random_bools(n, rng);
-    EXPECT_EQ(logic::masked_transition_count(BitStream::pack(mask),
-                                             BitStream::pack(stream)),
-              naive_masked_transitions(mask, stream))
-        << "round " << round << " n " << n;
-  }
-}
-
-TEST(BitStream, MaskedTransitionCountBridgesGaps) {
-  // Selected samples: k=0 (value 1) and k=130 (value 0) — two words apart.
-  // The compacted stream is "10": exactly one transition across the gap.
-  BitStream mask(131);
-  mask.set(0, true);
-  mask.set(130, true);
-  BitStream stream(131);
-  stream.set(0, true);
-  EXPECT_EQ(logic::masked_transition_count(mask, stream), 1u);
-  // Same selected value on both sides: no transition.
-  stream.set(130, true);
-  EXPECT_EQ(logic::masked_transition_count(mask, stream), 0u);
-}
-
-// -------------------------------------------------------- CombinationIndex
-
-TEST(CombinationIndex, MasksPartitionSamplesMsbFirst) {
-  // 2 inputs, 6 samples; input 0 is the MSB of the combination id.
-  const BitStream msb = BitStream::pack({false, false, true, true, false, true});
-  const BitStream lsb = BitStream::pack({false, true, false, true, true, true});
-  const CombinationIndex index({msb, lsb});
-  EXPECT_EQ(index.input_count(), 2u);
-  EXPECT_EQ(index.sample_count(), 6u);
-  EXPECT_EQ(index.combination_count(), 4u);
-  const std::vector<std::size_t> expected_ids = {0, 1, 2, 3, 1, 3};
-  for (std::size_t k = 0; k < expected_ids.size(); ++k) {
-    EXPECT_EQ(index.id(k), expected_ids[k]) << k;
-  }
-  EXPECT_EQ(index.count(0), 1u);
-  EXPECT_EQ(index.count(1), 2u);
-  EXPECT_EQ(index.count(2), 1u);
-  EXPECT_EQ(index.count(3), 2u);
-  // Masks are disjoint and cover every sample.
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < index.combination_count(); ++c) {
-    total += index.count(c);
-    EXPECT_EQ(index.mask(c).popcount(), index.count(c));
-    for (std::size_t d = c + 1; d < index.combination_count(); ++d) {
-      EXPECT_EQ(logic::and_popcount(index.mask(c), index.mask(d)), 0u);
-    }
-  }
-  EXPECT_EQ(total, index.sample_count());
-}
-
-TEST(CombinationIndex, Validation) {
-  EXPECT_THROW(CombinationIndex(std::vector<logic::BitStream>{}),
-               InvalidArgument);
-  EXPECT_THROW(CombinationIndex(std::vector<logic::BitStream>(
-                   CombinationIndex::kMaxInputs + 1, BitStream(8))),
-               InvalidArgument);
-  EXPECT_THROW(CombinationIndex({BitStream(8), BitStream(9)}),
-               InvalidArgument);
-  EXPECT_THROW((void)CombinationIndex({BitStream(8)}).mask(2),
-               InvalidArgument);
-  EXPECT_THROW((void)CombinationIndex({BitStream(8)}).id(8), InvalidArgument);
-  const CombinationIndex empty;
-  EXPECT_EQ(empty.input_count(), 0u);
-  EXPECT_EQ(empty.combination_count(), 0u);
-}
-
-TEST(CombinationIndex, MaxInputsBoundaryPartitionsMatchReference) {
-  // 7 and 8 inputs (kMaxInputs) exercise the widest mask builds: 128 and
-  // 256 combinations, most with empty masks at these sample counts. The
-  // masks must still partition the samples and agree with the naive
-  // classifier.
-  sim::Rng rng(81);
-  for (const std::size_t n_inputs : {CombinationIndex::kMaxInputs - 1,
-                                     CombinationIndex::kMaxInputs}) {
-    for (const std::size_t samples : {1ul, 65ul, 300ul}) {
-      std::vector<std::vector<bool>> planes;
-      std::vector<BitStream> packed;
-      for (std::size_t i = 0; i < n_inputs; ++i) {
-        planes.push_back(random_bools(samples, rng));
-        packed.push_back(BitStream::pack(planes.back()));
-      }
-      const CombinationIndex index(packed);
-      ASSERT_EQ(index.combination_count(), std::size_t{1} << n_inputs);
-      std::vector<std::size_t> expected_counts(index.combination_count(), 0);
-      for (std::size_t k = 0; k < samples; ++k) {
-        std::size_t combination = 0;
-        for (std::size_t i = 0; i < n_inputs; ++i) {
-          combination = (combination << 1) | (planes[i][k] ? 1U : 0U);
-        }
-        ++expected_counts[combination];
-        ASSERT_EQ(index.id(k), combination)
-            << n_inputs << " inputs, sample " << k;
-      }
-      std::size_t total = 0;
-      for (std::size_t c = 0; c < index.combination_count(); ++c) {
-        EXPECT_EQ(index.count(c), expected_counts[c])
-            << n_inputs << " inputs, combination " << c;
-        total += index.count(c);
-      }
-      EXPECT_EQ(total, samples);
-    }
-  }
-}
-
-TEST(BitStream, MaskedTransitionCountDegenerateMasks) {
-  sim::Rng rng(91);
-  for (const std::size_t n : {1u, 63u, 64u, 65u, 500u}) {
     const std::vector<bool> bits = random_bools(n, rng);
     const BitStream stream = BitStream::pack(bits);
-    // All-zero mask selects nothing: zero transitions.
-    EXPECT_EQ(logic::masked_transition_count(BitStream(n), stream), 0u) << n;
-    // All-one mask selects everything: exactly transition_count().
-    EXPECT_EQ(logic::masked_transition_count(~BitStream(n), stream),
-              stream.transition_count())
-        << n;
+    std::size_t begin = rng.below(n + 1);
+    std::size_t end = rng.below(n + 1);
+    if (begin > end) std::swap(begin, end);
+    if (round % 5 == 0) end = n;
+    if (round % 10 == 0) begin = 0;  // the whole stream
+    const std::vector<bool> range(bits.begin() + static_cast<long>(begin),
+                                  bits.begin() + static_cast<long>(end));
+    EXPECT_EQ(stream.popcount(begin, end), naive_popcount(range))
+        << "n " << n << " [" << begin << ", " << end << ")";
+    EXPECT_EQ(stream.transition_count(begin, end), naive_transitions(range))
+        << "n " << n << " [" << begin << ", " << end << ")";
   }
 }
 
-TEST(CombinationIndex, FuzzIdsMatchReferenceClassifier) {
+// -------------------------------------------------- combination segments
+
+TEST(CombinationSegments, RunsAreMaximalMsbFirst) {
+  // 2 inputs, 7 samples; input 0 is the MSB of the combination id.
+  const BitStream msb =
+      BitStream::pack({false, false, true, true, true, false, false});
+  const BitStream lsb =
+      BitStream::pack({false, true, false, true, true, true, true});
+  const std::vector<CombinationSegment> expected = {
+      {0, 0, 1}, {1, 1, 2}, {2, 2, 3}, {3, 3, 5}, {1, 5, 7}};
+  EXPECT_EQ(logic::combination_segments({msb, lsb}), expected);
+}
+
+TEST(CombinationSegments, Validation) {
+  EXPECT_THROW((void)logic::combination_segments({}), InvalidArgument);
+  EXPECT_THROW((void)logic::combination_segments(std::vector<BitStream>(
+                   logic::kMaxCombinationInputs + 1, BitStream(8))),
+               InvalidArgument);
+  EXPECT_THROW((void)logic::combination_segments({BitStream(8), BitStream(9)}),
+               InvalidArgument);
+  EXPECT_TRUE(logic::combination_segments({BitStream(), BitStream()}).empty());
+}
+
+TEST(CombinationSegments, FuzzSegmentsTileTheSamplesAndMatchTheClassifier) {
+  // Every input count up to the cap, plateaus from single-sample flicker
+  // up to several words, and sample counts on both sides of a word edge.
   sim::Rng rng(41);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t n_inputs = 1 + rng.below(4);
-    const std::size_t samples = 1 + rng.below(300);
-    std::vector<std::vector<bool>> planes;
-    std::vector<BitStream> packed;
-    for (std::size_t i = 0; i < n_inputs; ++i) {
-      planes.push_back(random_bools(samples, rng));
-      packed.push_back(BitStream::pack(planes.back()));
-    }
-    const CombinationIndex index(packed);
-    for (std::size_t k = 0; k < samples; ++k) {
-      std::size_t combination = 0;
-      for (std::size_t i = 0; i < n_inputs; ++i) {
-        combination = (combination << 1) | (planes[i][k] ? 1U : 0U);
+  for (std::size_t inputs = 1; inputs <= logic::kMaxCombinationInputs;
+       ++inputs) {
+    for (const std::size_t samples : {1ul, 63ul, 64ul, 65ul, 1000ul}) {
+      for (const std::size_t max_run : {1ul, 5ul, 200ul}) {
+        const auto planes =
+            random_combination_planes(inputs, samples, max_run, rng);
+        std::vector<BitStream> packed;
+        for (const auto& plane : planes) {
+          packed.push_back(BitStream::pack(plane));
+        }
+        const std::vector<CombinationSegment> segments =
+            logic::combination_segments(packed);
+
+        std::size_t next = 0;
+        for (std::size_t s = 0; s < segments.size(); ++s) {
+          const CombinationSegment& segment = segments[s];
+          ASSERT_EQ(segment.begin, next) << inputs << " inputs";
+          ASSERT_LT(segment.begin, segment.end);
+          if (s > 0) {
+            ASSERT_NE(segment.combination, segments[s - 1].combination);
+          }
+          for (std::size_t k = segment.begin; k < segment.end; ++k) {
+            ASSERT_EQ(segment.combination, naive_combination(planes, k))
+                << inputs << " inputs, sample " << k;
+          }
+          next = segment.end;
+        }
+        EXPECT_EQ(next, samples) << inputs << " inputs";
       }
-      ASSERT_EQ(index.id(k), combination) << "round " << round;
     }
   }
 }
 
-// ------------------------------------ packed vs reference analyzer stages
-
-TEST(PackedAnalysis, FuzzVariationAnalysisMatchesReference) {
-  sim::Rng rng(51);
-  for (int round = 0; round < 30; ++round) {
-    const std::size_t n_inputs = 1 + rng.below(3);
-    const std::size_t samples = 1 + rng.below(600);
-    core::DigitalData data;
-    for (std::size_t i = 0; i < n_inputs; ++i) {
-      data.inputs.push_back(random_bools(samples, rng));
-    }
-    data.output = random_bools(samples, rng);
-
-    const core::VariationAnalysis reference =
-        core::analyze_variation(core::analyze_cases(data));
-    const core::VariationAnalysis packed = core::analyze_variation_packed(
-        core::analyze_cases_packed(core::pack(data)));
-
-    ASSERT_EQ(packed.input_count, reference.input_count);
-    ASSERT_EQ(packed.records.size(), reference.records.size());
-    for (std::size_t c = 0; c < reference.records.size(); ++c) {
-      const auto& r = reference.records[c];
-      const auto& p = packed.records[c];
-      EXPECT_EQ(p.combination, r.combination);
-      EXPECT_EQ(p.case_count, r.case_count) << "round " << round << " c " << c;
-      EXPECT_EQ(p.high_count, r.high_count) << "round " << round << " c " << c;
-      EXPECT_EQ(p.variation_count, r.variation_count)
-          << "round " << round << " c " << c;
-      // Same integers divided in the same order: bit-identical doubles.
-      EXPECT_EQ(p.fov_est, r.fov_est);
-    }
-  }
-}
-
-TEST(PackedAnalysis, CaseCountsProjectionKeepsCountsDropsStreams) {
-  core::DigitalData data;
-  data.inputs.push_back({false, false, true, true, false});
-  data.output = {true, false, true, true, false};
-  const core::PackedCaseAnalysis packed =
-      core::analyze_cases_packed(core::pack(data));
-  const core::CaseAnalysis counts = core::case_counts(packed);
-  const core::CaseAnalysis reference = core::analyze_cases(data);
-  ASSERT_EQ(counts.cases.size(), reference.cases.size());
-  for (std::size_t c = 0; c < counts.cases.size(); ++c) {
-    EXPECT_EQ(counts.cases[c].combination, reference.cases[c].combination);
-    EXPECT_EQ(counts.cases[c].case_count, reference.cases[c].case_count);
-    EXPECT_TRUE(counts.cases[c].output_stream.empty());
-  }
-}
+// ------------------------------------------------------------ ADC, packing
 
 TEST(PackedAnalysis, AdcPackedMatchesAdc) {
   sim::Rng rng(61);

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "circuits/circuit_repository.h"
 #include "core/adc.h"
@@ -17,6 +21,7 @@
 #include "core/threshold_sweep.h"
 #include "core/variation_analyzer.h"
 #include "core/verifier.h"
+#include "fuzz_util.h"
 #include "sim/rng.h"
 #include "sim/trace.h"
 #include "util/errors.h"
@@ -134,6 +139,61 @@ TEST(VariationAnalyzer, SingleGlitchHasTwoVariations) {
   EXPECT_EQ(analysis.records[0].high_count, 3u);
   EXPECT_EQ(analysis.records[0].variation_count, 2u);
   EXPECT_NEAR(analysis.records[0].fov_est, 2.0 / 1850.0, 1e-12);
+}
+
+/// The compacted-gap semantics (docs/ANALYSIS.md worked example): when a
+/// combination is interrupted and later resumed, its logged stream
+/// continues across the gap, so the last sample before the gap is
+/// compared against the first one after it. Gaps placed at and across
+/// 64-bit word boundaries exercise the resumed-segment correction of
+/// analyze_segments against the logged-stream oracle.
+TEST(VariationAnalyzer, ResumedCombinationComparesAcrossTheGap) {
+  // The worked example verbatim: samples 0..191 under combination 1,
+  // except word 1 (samples 64..127) under combination 0; the output is
+  // high on word 0 only. Combination 1 logs 64 ones then 64 zeros —
+  // exactly one transition, and it happens across the gap.
+  DigitalData data;
+  data.inputs.assign(1, std::vector<bool>(192, true));
+  data.output.assign(192, false);
+  for (std::size_t k = 64; k < 128; ++k) data.inputs[0][k] = false;
+  for (std::size_t k = 0; k < 64; ++k) data.output[k] = true;
+  EXPECT_EQ(analyze_segments(pack(data)).records[1].variation_count, 1u);
+  EXPECT_EQ(analyze_variation(analyze_cases(data)).records[1].variation_count,
+            1u);
+
+  // Systematic: every gap placement straddling the first word boundary,
+  // against outputs that toggle at several periods.
+  const std::size_t n = 256;
+  sim::Rng rng(0x6A9);
+  for (const std::size_t gap_start : {1u, 62u, 63u, 64u, 65u, 126u}) {
+    for (const std::size_t gap_length : {1u, 2u, 64u, 65u, 130u}) {
+      data.inputs.assign(1, std::vector<bool>(n, true));
+      for (std::size_t k = gap_start;
+           k < std::min<std::size_t>(n, gap_start + gap_length);
+           ++k) {
+        data.inputs[0][k] = false;
+      }
+      std::vector<bool> toggled(n);
+      for (std::size_t k = 0; k < n; ++k) toggled[k] = k % 2 == 0;
+      for (const auto& output : {testutil::random_bools(n, rng), toggled,
+                                 std::vector<bool>(n, true)}) {
+        data.output = output;
+        const VariationAnalysis expected =
+            analyze_variation(analyze_cases(data));
+        const VariationAnalysis actual = analyze_segments(pack(data));
+        for (std::size_t c = 0; c < 2; ++c) {
+          EXPECT_EQ(actual.records[c].case_count,
+                    expected.records[c].case_count);
+          EXPECT_EQ(actual.records[c].high_count,
+                    expected.records[c].high_count);
+          EXPECT_EQ(actual.records[c].variation_count,
+                    expected.records[c].variation_count)
+              << "gap [" << gap_start << ", " << gap_start + gap_length
+              << "), combination " << c;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ the filters
@@ -282,49 +342,51 @@ TEST(LogicAnalyzer, EndToEndOnSyntheticTrace) {
 }
 
 TEST(LogicAnalyzer, ConfigIsValidated) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{0.0, 0.25}), InvalidArgument);
+  EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{nan, 0.25}), InvalidArgument);
   EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{15.0, 0.0}), InvalidArgument);
   EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{15.0, 2.0}), InvalidArgument);
+  EXPECT_THROW(LogicAnalyzer(AnalyzerConfig{15.0, nan}), InvalidArgument);
 }
 
-TEST(LogicAnalyzer, BackendNamesRoundTrip) {
-  EXPECT_EQ(parse_analysis_backend("packed"), AnalysisBackend::kPacked);
-  EXPECT_EQ(parse_analysis_backend("reference"), AnalysisBackend::kReference);
-  EXPECT_STREQ(analysis_backend_name(AnalysisBackend::kPacked), "packed");
-  EXPECT_STREQ(analysis_backend_name(AnalysisBackend::kReference),
-               "reference");
-  EXPECT_THROW((void)parse_analysis_backend("simd"), InvalidArgument);
-}
-
-/// Everything downstream stages consume must agree bit for bit between the
-/// two backends (the representations may differ only in cases.output_stream
-/// materialization).
-void expect_backend_equivalent(const ExtractionResult& packed,
-                               const ExtractionResult& reference) {
-  ASSERT_EQ(packed.variation.records.size(),
-            reference.variation.records.size());
-  for (std::size_t c = 0; c < reference.variation.records.size(); ++c) {
-    const auto& r = reference.variation.records[c];
-    const auto& p = packed.variation.records[c];
-    EXPECT_EQ(p.case_count, r.case_count) << c;
-    EXPECT_EQ(p.high_count, r.high_count) << c;
-    EXPECT_EQ(p.variation_count, r.variation_count) << c;
-    EXPECT_EQ(p.fov_est, r.fov_est) << c;
-    EXPECT_EQ(packed.cases.cases[c].case_count,
-              reference.cases.cases[c].case_count)
-        << c;
-    EXPECT_EQ(packed.construction.outcomes[c].verdict,
-              reference.construction.outcomes[c].verdict)
+/// Check `actual` against the oracle pair on the same digitized streams:
+/// analyze_variation(analyze_cases(data)), then ConstBoolExpr.
+void expect_matches_oracle(const ExtractionResult& actual,
+                           const DigitalData& data, double fov_ud,
+                           const std::vector<std::string>& names) {
+  const VariationAnalysis oracle = analyze_variation(analyze_cases(data));
+  ASSERT_EQ(actual.input_count, data.input_count());
+  ASSERT_EQ(actual.variation.input_count, oracle.input_count);
+  ASSERT_EQ(actual.variation.records.size(), oracle.records.size());
+  ASSERT_EQ(actual.cases.cases.size(), oracle.records.size());
+  for (std::size_t c = 0; c < oracle.records.size(); ++c) {
+    const auto& r = oracle.records[c];
+    const auto& p = actual.variation.records[c];
+    ASSERT_EQ(p.combination, c);
+    ASSERT_EQ(p.case_count, r.case_count) << c;
+    ASSERT_EQ(p.high_count, r.high_count) << c;
+    ASSERT_EQ(p.variation_count, r.variation_count) << c;
+    // Same integers divided in the same order: bit-identical doubles.
+    ASSERT_EQ(p.fov_est, r.fov_est) << c;
+    ASSERT_EQ(actual.cases.cases[c].combination, c);
+    ASSERT_EQ(actual.cases.cases[c].case_count, r.case_count) << c;
+  }
+  const BoolConstruction construction =
+      construct_bool_expr(oracle, fov_ud, names);
+  for (std::size_t c = 0; c < oracle.records.size(); ++c) {
+    ASSERT_EQ(actual.construction.outcomes[c].verdict,
+              construction.outcomes[c].verdict)
         << c;
   }
-  EXPECT_EQ(packed.extracted(), reference.extracted());
-  EXPECT_EQ(packed.expression(), reference.expression());
-  EXPECT_EQ(packed.fitness(), reference.fitness());
-  EXPECT_EQ(packed.construction.unobserved, reference.construction.unobserved);
-  EXPECT_EQ(packed.construction.unstable, reference.construction.unstable);
+  EXPECT_EQ(actual.extracted(), construction.extracted);
+  EXPECT_EQ(actual.expression(), construction.minimized.to_string());
+  EXPECT_EQ(actual.fitness(), construction.fitness_percent);
+  EXPECT_EQ(actual.construction.unobserved, construction.unobserved);
+  EXPECT_EQ(actual.construction.unstable, construction.unstable);
 }
 
-TEST(LogicAnalyzer, PackedAndReferenceBackendsAreBitIdentical) {
+TEST(LogicAnalyzer, AnalyzeMatchesOracleOnNoisyTrace) {
   // A noisy 2-input trace with glitches: sweep 4 combinations, output
   // follows AND with a transient at each phase boundary.
   sim::Rng rng(99);
@@ -338,33 +400,64 @@ TEST(LogicAnalyzer, PackedAndReferenceBackendsAreBitIdentical) {
     trace.append(k, {a ? 20.0 : 0.0, b ? 20.0 : 0.0,
                      (high ? 40.0 : 2.0) + noise});
   }
-  const LogicAnalyzer packed(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kPacked});
-  const LogicAnalyzer reference(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kReference});
-  expect_backend_equivalent(packed.analyze(trace, {"A", "B"}, "Y"),
-                            reference.analyze(trace, {"A", "B"}, "Y"));
+  const LogicAnalyzer analyzer(AnalyzerConfig{15.0, 0.25});
+  expect_matches_oracle(analyzer.analyze(trace, {"A", "B"}, "Y"),
+                        digitize(trace, {"A", "B"}, "Y", 15.0), 0.25,
+                        {"A", "B"});
 }
 
-TEST(LogicAnalyzer, AnalyzeDigitalAgreesAcrossBackends) {
-  sim::Rng rng(7);
-  DigitalData data;
-  data.inputs.assign(2, {});
-  for (int k = 0; k < 777; ++k) {
-    data.inputs[0].push_back(rng.below(2) == 1);
-    data.inputs[1].push_back(rng.below(2) == 1);
-    data.output.push_back(rng.below(2) == 1);
+TEST(LogicAnalyzer, DifferentialFuzzMatchesOracleUpTo16Inputs) {
+  // Input planes with plateaus from single-sample flicker up to several
+  // words, combinations interrupted and resumed, sample counts on both
+  // sides of a word edge. Up to 4 inputs the output is random; above, it
+  // is high at most every other sample of a segment, so no combination is
+  // majority-high and ConstBoolExpr's minimization stays trivial over the
+  // 2^N rows while HIGH_O and O_Var still see highs, transitions, and
+  // resumed combinations whose last and first logged bits differ.
+  sim::Rng rng(2024);
+  const LogicAnalyzer analyzer(AnalyzerConfig{15.0, 0.25});
+  for (std::size_t inputs = 1; inputs <= 16; ++inputs) {
+    const std::vector<std::string> names = testutil::input_names(inputs);
+    for (const std::size_t samples : {1ul, 63ul, 64ul, 65ul, 700ul}) {
+      for (const std::size_t max_run : {1ul, 4ul, 150ul}) {
+        DigitalData data;
+        data.inputs =
+            testutil::random_combination_planes(inputs, samples, max_run, rng);
+        data.output = testutil::random_bools(samples, rng);
+        if (inputs > 4) {
+          std::size_t run = 0;
+          for (std::size_t k = 0; k < samples; ++k) {
+            const bool same = k > 0 && testutil::naive_combination(
+                                           data.inputs, k) ==
+                                           testutil::naive_combination(
+                                               data.inputs, k - 1);
+            run = same ? run + 1 : 0;
+            if (run % 2 == 0) data.output[k] = false;
+          }
+        }
+        SCOPED_TRACE(::testing::Message() << inputs << " inputs, " << samples
+                                          << " samples, runs <= " << max_run);
+        expect_matches_oracle(analyzer.analyze_packed(pack(data), names, "Y"),
+                              data, 0.25, names);
+        expect_matches_oracle(analyzer.analyze_digital(data, names, "Y"), data,
+                              0.25, names);
+      }
+    }
   }
-  const LogicAnalyzer packed(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kPacked});
-  const LogicAnalyzer reference(
-      AnalyzerConfig{15.0, 0.25, AnalysisBackend::kReference});
-  expect_backend_equivalent(packed.analyze_digital(data, {"A", "B"}, "Y"),
-                            reference.analyze_digital(data, {"A", "B"}, "Y"));
-  // The explicitly packed entry point agrees too.
-  expect_backend_equivalent(
-      packed.analyze_packed(pack(data), {"A", "B"}, "Y"),
-      reference.analyze_digital(data, {"A", "B"}, "Y"));
+}
+
+TEST(LogicAnalyzer, AnalyzeSegmentsValidatesStreams) {
+  PackedDigitalData data;
+  data.output = logic::BitStream(8);
+  EXPECT_THROW((void)analyze_segments(data), InvalidArgument);
+  data.inputs.assign(17, logic::BitStream(8));
+  EXPECT_THROW((void)analyze_segments(data), InvalidArgument);
+  data.inputs.assign(2, logic::BitStream(8));
+  data.inputs[1] = logic::BitStream(9);
+  EXPECT_THROW((void)analyze_segments(data), InvalidArgument);
+  data.inputs[1] = logic::BitStream(8);
+  data.output = logic::BitStream(7);
+  EXPECT_THROW((void)analyze_segments(data), InvalidArgument);
 }
 
 // --------------------------------------------------------------- verifier
@@ -432,25 +525,23 @@ TEST(Report, BarsMarkAcceptedCombinations) {
   EXPECT_NE(bars.find("Var_O"), std::string::npos);
 }
 
-// The re-digitizing threshold sweep reuses one CombinationIndex across
-// points whose clamped input streams digitize identically (PR 3 follow-up);
-// its output must stay exactly what a per-point re-analysis produces.
-TEST(ThresholdSweepRedigitize, SharedIndexLeavesSweepOutputUnchanged) {
+// The re-digitizing threshold sweep simulates once and re-analyzes the
+// shared trace at every threshold; each point must be exactly what a
+// per-point re-analysis of that trace produces.
+TEST(ThresholdSweepRedigitize, PointsMatchPerPointReanalysis) {
   const auto spec = circuits::CircuitRepository::build("myers_and");
   core::ExperimentConfig config;
   config.total_time = 400.0;
   config.seed = 9;
   // Thresholds straddling the drive level (inputs applied at 15): {3, 10,
-  // 15} digitize the clamped inputs identically, 40 zeroes them — two
-  // index classes behind the scenes, four points of output.
+  // 15} digitize the clamped inputs identically, 40 zeroes them.
   const std::vector<double> thresholds = {3.0, 10.0, 15.0, 40.0};
 
   const auto sweep =
       core::threshold_sweep_redigitize(spec, config, thresholds, 2);
   ASSERT_EQ(sweep.points.size(), thresholds.size());
 
-  // Reference: the shared simulation re-analyzed point by point through
-  // the generic analyzer entry (no index sharing).
+  // Reference: the shared simulation re-analyzed point by point.
   const auto base = core::run_experiment(spec, config);
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     core::ExperimentConfig point_config = config;
@@ -475,18 +566,6 @@ TEST(ThresholdSweepRedigitize, SharedIndexLeavesSweepOutputUnchanged) {
       EXPECT_EQ(ra.variation_count, re.variation_count);
       EXPECT_EQ(ra.fov_est, re.fov_est);
     }
-  }
-
-  // And the reuse path agrees with the reference backend's sweep.
-  core::ExperimentConfig reference_config = config;
-  reference_config.backend = core::AnalysisBackend::kReference;
-  const auto reference_sweep =
-      core::threshold_sweep_redigitize(spec, reference_config, thresholds, 1);
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    EXPECT_EQ(sweep.points[i].result.extraction.expression(),
-              reference_sweep.points[i].result.extraction.expression());
-    EXPECT_EQ(sweep.points[i].result.extraction.fitness(),
-              reference_sweep.points[i].result.extraction.fitness());
   }
 }
 

@@ -2,9 +2,9 @@
 // precedence and malformed-input pins for every grammar production, the
 // packed monitor fuzzed bit-for-bit against the naive reference evaluator
 // (random properties x random/adversarial planes, every available SIMD
-// tier), the masked_transition_count gap-at-word-boundary regression the
-// monitor counters depend on, and the run_check replicate runner's
-// backend- and job-count-independence.
+// tier), and the run_check replicate runner: its per-combination reduction
+// against the reference evaluator (up to 10 inputs), and its sink- and
+// job-count-independence.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "circuits/circuit_repository.h"
+#include "core/adc.h"
 #include "core/experiment.h"
 #include "fuzz_util.h"
 #include "logic/bit_stream.h"
@@ -26,6 +27,7 @@
 #include "props/property.h"
 #include "props/reference.h"
 #include "sim/rng.h"
+#include "sim/virtual_lab.h"
 #include "store/spill_reader.h"
 #include "util/errors.h"
 
@@ -35,7 +37,6 @@ using namespace glva;
 using logic::BitStream;
 using props::PropertyKind;
 using props::PropertyPtr;
-using testutil::naive_masked_transitions;
 using testutil::random_bools;
 using testutil::random_property;
 
@@ -394,61 +395,6 @@ TEST(PropertyDifferentialFuzz, PackedMatchesReferenceOnEveryTier) {
   }
 }
 
-// --------------------------- masked_transition_count gap regression
-
-/// The compacted-gap semantics (docs/ANALYSIS.md worked example): when
-/// the selection mask skips a stretch, the last selected sample before
-/// the gap is compared against the first selected sample after it —
-/// exactly what compact-then-count does. Gaps placed at and across
-/// 64-bit word boundaries exercise the scalar run-start patch.
-TEST(MaskedTransitions, GapAtWordBoundaryMatchesCompactedReference) {
-  // The ANALYSIS.md example, verbatim: samples 0..191, word 1 (samples
-  // 64..127) deselected, stream = ones on word 0 and zeros after it.
-  // Compacted stream: 64 ones then 64 zeros — exactly one transition,
-  // and it happens across the gap.
-  std::vector<bool> mask(192, true);
-  std::vector<bool> stream(192, false);
-  for (std::size_t j = 64; j < 128; ++j) mask[j] = false;
-  for (std::size_t j = 0; j < 64; ++j) stream[j] = true;
-  ASSERT_EQ(naive_masked_transitions(mask, stream), 1u);
-  EXPECT_EQ(logic::masked_transition_count(BitStream::pack(mask),
-                                           BitStream::pack(stream)),
-            1u);
-
-  // Systematic: every gap placement straddling the first word boundary,
-  // against streams that toggle at several periods.
-  const std::size_t n = 256;
-  sim::Rng rng(0x6A9);
-  for (const std::size_t gap_start :
-       {std::size_t{1}, std::size_t{62}, std::size_t{63}, std::size_t{64},
-        std::size_t{65}, std::size_t{126}}) {
-    for (const std::size_t gap_length :
-         {std::size_t{1}, std::size_t{2}, std::size_t{64}, std::size_t{65},
-          std::size_t{130}}) {
-      std::vector<bool> gapped(n, true);
-      for (std::size_t j = gap_start;
-           j < std::min(n, gap_start + gap_length); ++j) {
-        gapped[j] = false;
-      }
-      const std::vector<bool> streams[] = {
-          random_bools(n, rng),
-          [&] {
-            std::vector<bool> toggled(n);
-            for (std::size_t j = 0; j < n; ++j) toggled[j] = j % 2 == 0;
-            return toggled;
-          }(),
-          std::vector<bool>(n, true),
-      };
-      for (const auto& s : streams) {
-        EXPECT_EQ(logic::masked_transition_count(BitStream::pack(gapped),
-                                                 BitStream::pack(s)),
-                  naive_masked_transitions(gapped, s))
-            << "gap [" << gap_start << ", " << gap_start + gap_length << ")";
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------- the check runner
 
 core::ExperimentConfig small_config() {
@@ -492,7 +438,7 @@ void expect_check_results_equal(const props::CheckResult& a,
   }
 }
 
-TEST(CheckRunner, BackendsAndJobCountsAreBitIdentical) {
+TEST(CheckRunner, JobCountsAreBitIdentical) {
   const auto spec = circuits::CircuitRepository::build("0x1");
   const auto properties = small_properties();
   const props::CheckResult packed =
@@ -516,19 +462,90 @@ TEST(CheckRunner, BackendsAndJobCountsAreBitIdentical) {
     EXPECT_EQ(first_violation, property.first_violation);
   }
 
-  core::ExperimentConfig reference_config = small_config();
-  reference_config.backend = core::AnalysisBackend::kReference;
-  expect_check_results_equal(
-      packed, props::run_check(spec, reference_config, properties, 2, 1));
   expect_check_results_equal(
       packed, props::run_check(spec, small_config(), properties, 2, 3));
 }
 
+/// Replicate 0 of `result` recomputed with the reference evaluator: the
+/// same simulation, digitized into vector<bool> planes, each property's
+/// naive verdict reduced sample by sample per input combination.
+void expect_matches_reference(const circuits::CircuitSpec& spec,
+                              const core::ExperimentConfig& config,
+                              const std::vector<PropertyPtr>& properties,
+                              const props::CheckResult& result) {
+  sim::LabOptions lab_options;
+  lab_options.sampling_period = config.sampling_period;
+  lab_options.seed = result.replicate_seeds[0];
+  sim::VirtualLab lab(spec.model, lab_options);
+  lab.declare_inputs(spec.input_ids);
+  const sim::Trace trace =
+      lab.run_combination_sweep(config.total_time, config.high_level()).trace;
+  const core::DigitalData data = core::digitize(
+      trace, spec.input_ids, spec.output_id, config.threshold);
+
+  props::NamedPlanes planes;
+  planes.names = spec.input_ids;
+  planes.names.push_back(spec.output_id);
+  planes.planes = data.inputs;
+  planes.planes.push_back(data.output);
+
+  ASSERT_EQ(result.first.properties.size(), properties.size());
+  for (std::size_t i = 0; i < properties.size(); ++i) {
+    const std::vector<bool> verdict =
+        props::evaluate_reference(*properties[i], planes);
+    std::vector<props::CombinationCheck> expected(
+        std::size_t{1} << spec.input_ids.size());
+    for (std::size_t k = 0; k < verdict.size(); ++k) {
+      props::CombinationCheck& comb =
+          expected[testutil::naive_combination(data.inputs, k)];
+      ++comb.samples;
+      if (verdict[k]) {
+        ++comb.satisfied;
+      } else if (comb.first_violation == props::kNoViolation) {
+        comb.first_violation = k;
+      }
+    }
+    const props::PropertyCheck& actual = result.first.properties[i];
+    EXPECT_EQ(actual.samples, verdict.size());
+    EXPECT_EQ(actual.satisfied, testutil::naive_popcount(verdict));
+    ASSERT_EQ(actual.combinations.size(), expected.size());
+    std::size_t observed = 0;
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_EQ(actual.combinations[c].combination, c);
+      EXPECT_EQ(actual.combinations[c].samples, expected[c].samples) << c;
+      EXPECT_EQ(actual.combinations[c].satisfied, expected[c].satisfied) << c;
+      EXPECT_EQ(actual.combinations[c].first_violation,
+                expected[c].first_violation)
+          << c;
+      if (expected[c].samples > 0) ++observed;
+    }
+    EXPECT_EQ(observed, expected.size());  // the sweep applies every one
+  }
+}
+
+TEST(CheckRunner, WideCircuitsMatchTheReferenceEvaluator) {
+  // 7 and 10 inputs: beyond the catalog, through the digitize and memory
+  // sinks respectively.
+  for (const std::size_t inputs : {7u, 10u}) {
+    const circuits::CircuitSpec spec = testutil::nor_tree_spec(inputs);
+    core::ExperimentConfig config;
+    config.total_time = 12.0 * static_cast<double>(std::size_t{1} << inputs);
+    config.seed = 17;
+    config.sink =
+        inputs == 7 ? store::SinkKind::kDigitize : store::SinkKind::kMemory;
+    const std::vector<PropertyPtr> properties = {
+        props::parse_property("G (I0 -> F[0,30] GFP)"),
+        props::parse_property("noglitch[3] GFP")};
+    SCOPED_TRACE(::testing::Message() << inputs << " inputs");
+    expect_matches_reference(spec, config, properties,
+                             props::run_check(spec, config, properties, 1, 1));
+  }
+}
+
 TEST(CheckRunner, SinksAreBitIdenticalAndSpillRunsOutOfCore) {
   // The spill path replays the .glvt straight into the streaming ADC (no
-  // trace re-materialization) for the packed backend, and through
-  // read_all for the reference backend; all of it must match the memory
-  // path bit for bit — same seed, same samples, same verdict words.
+  // trace re-materialization); it must match the memory path bit for bit
+  // — same seed, same samples, same verdict words.
   const auto spec = circuits::CircuitRepository::build("0x1");
   const auto properties = small_properties();
   const props::CheckResult memory =
@@ -547,10 +564,6 @@ TEST(CheckRunner, SinksAreBitIdenticalAndSpillRunsOutOfCore) {
         (spec.name + "-s99-r" + std::to_string(r) + ".glvt")))
         << "replicate " << r;
   }
-
-  spill_config.backend = core::AnalysisBackend::kReference;
-  expect_check_results_equal(
-      memory, props::run_check(spec, spill_config, properties, 2, 1));
 
   core::ExperimentConfig digitize_config = small_config();
   digitize_config.sink = store::SinkKind::kDigitize;

@@ -220,9 +220,8 @@ Request make_request(const std::vector<std::string>& options,
 TEST(CanonicalKey, FlagOrderAndSpelledDefaultsHashIdentically) {
   const Request terse = make_request({"--seed", "7"});
   const Request spelled = make_request(
-      {"--threshold", "15", "--seed", "7", "--backend", "packed",
-       "--fov-ud", "0.25", "--sink", "mem", "--total-time", "10000",
-       "--sampling-period", "1"});
+      {"--threshold", "15", "--seed", "7", "--fov-ud", "0.25", "--sink",
+       "mem", "--total-time", "10000", "--sampling-period", "1"});
   EXPECT_EQ(glva::app::canonical_key(terse),
             glva::app::canonical_key(spelled));
   EXPECT_EQ(glva::app::request_fingerprint(terse),
@@ -237,7 +236,6 @@ TEST(CanonicalKey, EverySemanticFieldChangesTheKey) {
       {"--fov-ud", "0.3"},
       {"--total-time", "9999"},
       {"--sampling-period", "2"},
-      {"--backend", "reference"},
       {"--sink", "digitize"},
       {"--two-stage"},
       {"--no-timings"},
@@ -582,6 +580,27 @@ TEST(ServeEndToEnd, ErrorsCarryStructuredKinds) {
   EXPECT_EQ(method.error_kind, "invalid_argument");
   EXPECT_NE(method.error_message.find("unknown option"), std::string::npos)
       << method.error_message;
+  // Likewise --backend: the packed analysis is the only path, so neither
+  // former spelling is accepted.
+  for (const char* backend : {"packed", "reference"}) {
+    const ParsedResponse removed = parse_response(server.dispatch(
+        analysis_payload("verify", "0x0B", {"--backend", backend})));
+    EXPECT_EQ(removed.error_kind, "invalid_argument") << backend;
+    EXPECT_NE(removed.error_message.find("unknown option"), std::string::npos)
+        << removed.error_message;
+  }
+  // Non-finite numbers are rejected at parse time: NaN used to slip past
+  // every positivity check, and --total-time nan pinned a worker.
+  for (const char* option :
+       {"--total-time", "--sampling-period", "--threshold", "--fov-ud"}) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      EXPECT_EQ(parse_response(server.dispatch(analysis_payload(
+                                   "verify", "0x0B", {option, value})))
+                    .error_kind,
+                "invalid_argument")
+          << option << " " << value;
+    }
+  }
   EXPECT_EQ(parse_response(server.dispatch(analysis_payload(
                                 "verify", "no-such-circuit", {})))
                 .error_kind,
@@ -841,6 +860,23 @@ TEST(Cli, SweepRunsAndReportsRecovery) {
   EXPECT_NE(out.find("circuit:    0x0B"), std::string::npos);
   EXPECT_NE(out.find("1/1 point(s) recover the intended logic"),
             std::string::npos);
+}
+
+TEST(Cli, RemovedAndNonFiniteOptionsAreRejected) {
+  const auto rejects = [](const std::vector<std::string>& args,
+                          const std::string& message) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_cli(args, out, err), 2) << args[2];
+    EXPECT_NE(err.str().find(message), std::string::npos) << err.str();
+  };
+  rejects({"verify", "0x0B", "--backend", "packed"}, "unknown option");
+  rejects({"verify", "0x0B", "--backend", "reference"}, "unknown option");
+  rejects({"verify", "0x0B", "--sampling-period", "nan"}, "finite");
+  rejects({"verify", "0x0B", "--total-time", "nan"}, "finite");
+  rejects({"verify", "0x0B", "--threshold", "nan"}, "finite");
+  rejects({"check", "0x0B", "--property", "G GFP", "--min-satisfaction", "nan"},
+          "finite");
 }
 
 TEST(Cli, ServeRequiresAListener) {

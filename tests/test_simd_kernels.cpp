@@ -34,7 +34,6 @@ using namespace glva;
 using logic::BitStream;
 using logic::simd::IsaLevel;
 using logic::simd::KernelSet;
-using testutil::naive_masked_transitions;
 using testutil::naive_popcount;
 using testutil::naive_transitions;
 using testutil::random_bools;
@@ -102,10 +101,7 @@ TEST(SimdDispatch, AvailableSetsAreOrderedAndSelfConsistent) {
     // A complete table: no null entry may ever reach a caller.
     EXPECT_NE(sets[i]->pack_threshold_block, nullptr);
     EXPECT_NE(sets[i]->popcount_words, nullptr);
-    EXPECT_NE(sets[i]->and_popcount_words, nullptr);
     EXPECT_NE(sets[i]->transition_count_words, nullptr);
-    EXPECT_NE(sets[i]->masked_pair_transitions, nullptr);
-    EXPECT_NE(sets[i]->combine_masks, nullptr);
     EXPECT_NE(sets[i]->or_shift_down_words, nullptr);
     EXPECT_NE(sets[i]->and_shift_down_words, nullptr);
     EXPECT_NE(sets[i]->or_shift_up_words, nullptr);
@@ -176,20 +172,14 @@ TEST(SimdKernels, PackThresholdBlockMatchesScalarComparisonSemantics) {
   }
 }
 
-TEST(SimdKernels, PopcountKernelsMatchScalarAcrossLengthsAndAlignment) {
+TEST(SimdKernels, PopcountKernelMatchesScalarAcrossLengthsAndAlignment) {
   sim::Rng rng(107);
   for (const KernelSet* set : logic::simd::available_kernel_sets()) {
     for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 63u, 64u, 65u}) {
       const std::vector<std::uint64_t> a = random_words(n + 1, rng);
-      const std::vector<std::uint64_t> b = random_words(n + 1, rng);
       for (const std::size_t offset : {0u, 1u}) {  // +8 bytes breaks vector
         EXPECT_EQ(set->popcount_words(a.data() + offset, n),      // alignment
                   scalar_ref().popcount_words(a.data() + offset, n))
-            << set->name << ", n " << n << ", offset " << offset;
-        EXPECT_EQ(
-            set->and_popcount_words(a.data() + offset, b.data() + offset, n),
-            scalar_ref().and_popcount_words(a.data() + offset,
-                                            b.data() + offset, n))
             << set->name << ", n " << n << ", offset " << offset;
       }
     }
@@ -217,52 +207,20 @@ TEST(SimdKernels, TransitionCountMatchesScalarAndNaiveAcrossTails) {
   }
 }
 
-TEST(SimdKernels, MaskedPairTransitionsMatchesScalar) {
+TEST(SimdKernels, TransitionCountIgnoresBitsAboveTheTailMask) {
+  // The range forms of BitStream::transition_count hand the kernel a word
+  // window whose last word still holds samples past the range: every tier
+  // must mask them off exactly like the scalar reference.
   sim::Rng rng(113);
-  for (const std::size_t bits : {1u, 64u, 65u, 500u, 4096u, 4097u}) {
-    const BitStream mask = BitStream::pack(random_bools(bits, rng));
-    const BitStream stream = BitStream::pack(random_bools(bits, rng));
-    const std::size_t expected = scalar_ref().masked_pair_transitions(
-        mask.words().data(), stream.words().data(), mask.word_count());
-    for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-      EXPECT_EQ(set->masked_pair_transitions(mask.words().data(),
-                                             stream.words().data(),
-                                             mask.word_count()),
-                expected)
-          << set->name << ", bits " << bits;
-    }
-  }
-}
-
-TEST(SimdKernels, CombineMasksMatchesScalarUpToMaxInputs) {
-  sim::Rng rng(127);
-  for (const std::size_t inputs : {1u, 2u, 3u, 7u, 8u}) {
-    for (const std::size_t words : {1u, 3u, 8u, 9u, 65u}) {
-      std::vector<std::vector<std::uint64_t>> planes;
-      std::vector<const std::uint64_t*> plane_ptrs;
-      for (std::size_t i = 0; i < inputs; ++i) {
-        planes.push_back(random_words(words, rng));
-        plane_ptrs.push_back(planes.back().data());
-      }
-      // A few combinations: all complemented, all direct, and a mixed one.
-      for (const std::size_t c :
-           {std::size_t{0}, (std::size_t{1} << inputs) - 1,
-            (std::size_t{1} << inputs) / 2}) {
-        std::vector<std::uint64_t> invert(inputs);
-        for (std::size_t i = 0; i < inputs; ++i) {
-          invert[i] = ((c >> (inputs - 1 - i)) & 1U) != 0 ? 0
-                                                          : ~std::uint64_t{0};
-        }
-        std::vector<std::uint64_t> expected(words);
-        scalar_ref().combine_masks(plane_ptrs.data(), invert.data(), inputs,
-                                   words, expected.data());
-        for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-          std::vector<std::uint64_t> actual(words, 0x5A5A5A5Au);
-          set->combine_masks(plane_ptrs.data(), invert.data(), inputs, words,
-                             actual.data());
-          EXPECT_EQ(actual, expected) << set->name << ", inputs " << inputs
-                                      << ", words " << words << ", c " << c;
-        }
+  for (const std::size_t n : {1u, 2u, 8u, 9u, 17u, 65u}) {
+    const std::vector<std::uint64_t> words = random_words(n, rng);
+    for (const std::size_t valid : {1u, 2u, 31u, 63u, 64u}) {
+      const std::uint64_t tail = tail_mask_for(valid);
+      const std::size_t expected =
+          scalar_ref().transition_count_words(words.data(), n, tail);
+      for (const KernelSet* set : logic::simd::available_kernel_sets()) {
+        EXPECT_EQ(set->transition_count_words(words.data(), n, tail), expected)
+            << set->name << ", n " << n << ", valid " << valid;
       }
     }
   }
@@ -359,20 +317,19 @@ TEST(SimdForcedLevels, BitStreamCountsMatchNaiveUnderEveryLevel) {
     logic::simd::set_active(set->level);
     for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 4095u, 4097u}) {
       const std::vector<bool> ra = random_bools(n, rng);
-      const std::vector<bool> rb = random_bools(n, rng);
       const BitStream a = BitStream::pack(ra);
-      const BitStream b = BitStream::pack(rb);
       EXPECT_EQ(a.popcount(), naive_popcount(ra)) << set->name << " n " << n;
       EXPECT_EQ(a.transition_count(), naive_transitions(ra))
           << set->name << " n " << n;
-      std::size_t and_expected = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        and_expected += (ra[k] && rb[k]) ? 1 : 0;
-      }
-      EXPECT_EQ(logic::and_popcount(a, b), and_expected)
+      // A range spanning several words on both ends (the per-segment
+      // counters' multi-word case).
+      const std::size_t begin = n / 3;
+      const std::size_t end = n - n / 5;
+      const std::vector<bool> range(ra.begin() + static_cast<long>(begin),
+                                    ra.begin() + static_cast<long>(end));
+      EXPECT_EQ(a.popcount(begin, end), naive_popcount(range))
           << set->name << " n " << n;
-      EXPECT_EQ(logic::masked_transition_count(a, b),
-                naive_masked_transitions(ra, rb))
+      EXPECT_EQ(a.transition_count(begin, end), naive_transitions(range))
           << set->name << " n " << n;
     }
   }

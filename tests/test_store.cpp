@@ -916,6 +916,9 @@ TEST(DigitizingSink, ReplayFromSpillMatchesDirectDigitization) {
 TEST(DigitizingSink, ValidatesArguments) {
   EXPECT_THROW(store::DigitizingSink({}, 15.0), InvalidArgument);
   EXPECT_THROW(store::DigitizingSink({"A"}, 0.0), InvalidArgument);
+  EXPECT_THROW(
+      store::DigitizingSink({"A"}, std::numeric_limits<double>::quiet_NaN()),
+      InvalidArgument);
   store::DigitizingSink sink({"missing"}, 15.0);
   EXPECT_THROW(sink.begin({"A", "B"}), InvalidArgument);
   store::DigitizingSink ok({"A"}, 15.0);
@@ -1279,13 +1282,28 @@ TEST(ExperimentSinks, SpillRequiresDirectory) {
   EXPECT_THROW((void)core::run_experiment(spec, config), InvalidArgument);
 }
 
-TEST(ExperimentSinks, DigitizeRejectsReferenceBackend) {
-  const auto spec = circuits::CircuitRepository::build("myers_not");
+// Wider than any catalog circuit: all three sinks run the 128-combination
+// sweep through the one analysis path (the digitize sink used to refuse
+// more than 6 inputs).
+TEST(ExperimentSinks, SevenInputCircuitIsBitIdenticalAcrossSinks) {
+  const circuits::CircuitSpec spec = testutil::nor_tree_spec(7);
   core::ExperimentConfig config;
-  config.total_time = 100.0;
+  config.total_time = 128.0 * 60.0;
+  config.seed = 5;
+
+  const auto memory = core::run_experiment(spec, config);
+  ASSERT_EQ(memory.extraction.variation.records.size(), 128u);
+
   config.sink = store::SinkKind::kDigitize;
-  config.backend = core::AnalysisBackend::kReference;
-  EXPECT_THROW((void)core::run_experiment(spec, config), InvalidArgument);
+  const auto digitize = core::run_experiment(spec, config);
+  expect_extractions_identical(memory.extraction, digitize.extraction);
+  EXPECT_EQ(memory.verification.wrong_state_count(),
+            digitize.verification.wrong_state_count());
+
+  config.sink = store::SinkKind::kSpill;
+  config.spill_dir = (fs::path(::testing::TempDir()) / "wide_spill").string();
+  expect_extractions_identical(memory.extraction,
+                               core::run_experiment(spec, config).extraction);
 }
 
 TEST(ExperimentSinks, EnsembleSpillIsJobCountInvariantWithPerReplicateFiles) {
