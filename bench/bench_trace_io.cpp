@@ -24,6 +24,9 @@
 //     tracked columns) — the planes are compared bit for bit and, with
 //     timings on, the chunk path's replay speedup is reported (target:
 //     >= 3x);
+//   - with timings on, the spilled file is also re-analyzed stage by
+//     stage (open, replay into planes, analyze_packed, evaluate_packed of
+//     a response-and-no-glitch property over the output), medians of five;
 //   - --ensemble-replicates N runs an N-replicate digitize-sink ensemble
 //     through the streaming reduction (core::run_ensemble) and reports the
 //     majority logic plus, with timings on, the process peak RSS — the
@@ -47,6 +50,8 @@
 #include "core/experiment.h"
 #include "core/logic_analyzer.h"
 #include "core/report.h"
+#include "props/monitor.h"
+#include "props/parser.h"
 #include "sim/virtual_lab.h"
 #include "store/digitizing_sink.h"
 #include "store/spill_reader.h"
@@ -389,6 +394,56 @@ int main(int argc, char** argv) {
       std::cout << "size ratio below --min-size-ratio "
                 << util::format_double(min_ratio, 2) << " -> FAIL\n";
       rc = 1;
+    }
+
+    // Reanalysis stages: the stored-trace path of `glva check --sink
+    // spill` (open, replay into the digitizer's planes, Algorithm 1, the
+    // property monitor) timed stage by stage on the spilled file, medians
+    // of five passes. Wall-clock lines only, so nothing prints under
+    // --no-timings.
+    if (timings) {
+      const auto property = props::parse_property(
+          "(" + spec.input_ids.front() + "->F[0,400]" + spec.output_id +
+          ")&noglitch[5]" + spec.output_id);
+      const core::LogicAnalyzer analyzer(
+          core::AnalyzerConfig{threshold, fov_ud});
+      constexpr std::size_t kPasses = 5;
+      std::vector<double> stages[4];
+      for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        auto start = std::chrono::steady_clock::now();
+        store::SpillReader stage_reader(
+            spill_path_for(spec, spill_dir, seed));
+        stages[0].push_back(seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        store::DigitizingSink digitizer(tracked, threshold);
+        stage_reader.replay(digitizer);
+        const core::PackedDigitalData data =
+            core::take_digitized(digitizer, spec.input_ids.size());
+        stages[1].push_back(seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        (void)analyzer.analyze_packed(data, spec.input_ids, spec.output_id);
+        stages[2].push_back(seconds_since(start));
+        start = std::chrono::steady_clock::now();
+        props::PackedNamedPlanes planes;
+        planes.names = tracked;
+        for (const auto& input : data.inputs) planes.planes.push_back(&input);
+        planes.planes.push_back(&data.output);
+        (void)props::evaluate_packed(*property, planes);
+        stages[3].push_back(seconds_since(start));
+      }
+      const auto median_ms = [](std::vector<double> seconds) {
+        std::sort(seconds.begin(), seconds.end());
+        return util::format_double(seconds[seconds.size() / 2] * 1e3, 3);
+      };
+      std::cout << "\n--- reanalysis stages: .glvt -> verdict (median of "
+                << kPasses << ") ---\n"
+                << "open:       " << median_ms(stages[0]) << " ms\n"
+                << "replay:     " << median_ms(stages[1])
+                << " ms (into the digitizer's planes)\n"
+                << "analyze:    " << median_ms(stages[2])
+                << " ms (analyze_packed)\n"
+                << "evaluate:   " << median_ms(stages[3])
+                << " ms (evaluate_packed)\n";
     }
   }
 

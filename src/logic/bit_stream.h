@@ -76,6 +76,12 @@ public:
   /// O(words.size()).
   void append_words(std::span<const std::uint64_t> words);
 
+  /// Reserve word storage for `bits` bits without changing size() — one
+  /// allocation up front for a producer that knows its final length.
+  void reserve(std::size_t bits) {
+    words_.reserve((bits + kWordBits - 1) / kWordBits);
+  }
+
   /// Read bit `index` without a range check (precondition: index < size()).
   [[nodiscard]] bool operator[](std::size_t index) const noexcept {
     return ((words_[index / kWordBits] >> (index % kWordBits)) & 1U) != 0;

@@ -219,88 +219,36 @@ void DigitizingSink::append_block(
   spill_chunks(false);
 }
 
-namespace {
-
-/// Set bits [begin, begin + length) of `words`: a masked first and last
-/// word, whole-word stores in between.
-void set_bit_range(std::uint64_t* words, std::size_t begin,
-                   std::size_t length) {
-  if (length == 0) return;
-  constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
-  const std::size_t end = begin + length;
-  std::size_t w = begin / kWordBits;
-  const std::size_t last = (end - 1) / kWordBits;
-  const std::uint64_t first_mask = ~std::uint64_t{0} << (begin % kWordBits);
-  const std::uint64_t last_mask =
-      ~std::uint64_t{0} >> (kWordBits - 1 - (end - 1) % kWordBits);
-  if (w == last) {
-    words[w] |= first_mask & last_mask;
-    return;
-  }
-  words[w] |= first_mask;
-  for (++w; w < last; ++w) words[w] = ~std::uint64_t{0};
-  words[last] |= last_mask;
+void DigitizingSink::reserve(std::size_t samples) {
+  for (logic::BitStream& plane : planes_) plane.reserve(samples);
 }
 
-}  // namespace
-
-void DigitizingSink::append_chunk(std::size_t samples,
-                                  std::span<const ChunkColumn> columns) {
+void DigitizingSink::append_words(
+    std::size_t samples,
+    std::span<const std::span<const std::uint64_t>> planes) {
   constexpr std::size_t kWordBits = logic::BitStream::kWordBits;
   if (samples_ % kWordBits != 0) {
     throw InvalidArgument(
-        "DigitizingSink::append_chunk: stream is not on a word boundary");
+        "DigitizingSink::append_words: stream is not on a word boundary");
   }
-  if (columns.size() < min_row_width_) {
-    throw InvalidArgument(
-        "DigitizingSink::append_chunk: chunk narrower than the tracked "
-        "species columns");
-  }
-  for (const std::size_t column : columns_) {
-    const ChunkColumn& chunk = columns[column];
-    std::size_t covered = chunk.raw.size();
-    bool fits = true;
-    if (chunk.raw.empty()) {
-      for (const ChunkColumn::Run& run : chunk.runs) {
-        // Overflow-safe: each run must fit in what the earlier ones left.
-        if (run.length > samples - covered) {
-          fits = false;
-          break;
-        }
-        covered += run.length;
-      }
-    }
-    if (!fits || covered != samples) {
-      throw InvalidArgument(
-          "DigitizingSink::append_chunk: column does not cover the chunk");
-    }
-  }
-
   const std::size_t full = samples / kWordBits;
   const std::size_t rem = samples % kWordBits;
-  const logic::simd::KernelSet& kernels = logic::simd::active();
-  for (std::size_t i = 0; i < planes_.size(); ++i) {
-    const ChunkColumn& chunk = columns[columns_[i]];
-    chunk_words_.assign(full + (rem != 0 ? 1 : 0), 0);
-    if (!chunk.raw.empty()) {
-      kernels.pack_threshold_block(chunk.raw.data(), full, threshold_,
-                                   chunk_words_.data());
-      if (rem != 0) {
-        chunk_words_[full] = logic::pack_threshold_bits(
-            chunk.raw.data() + full * kWordBits, rem, threshold_);
-      }
-    } else {
-      std::size_t position = 0;
-      for (const ChunkColumn::Run& run : chunk.runs) {
-        if (run.value >= threshold_) {
-          set_bit_range(chunk_words_.data(), position, run.length);
-        }
-        position += run.length;
-      }
+  if (planes.size() != planes_.size()) {
+    throw InvalidArgument(
+        "DigitizingSink::append_words: one word span per plane required");
+  }
+  for (const std::span<const std::uint64_t> words : planes) {
+    if (words.size() != full + (rem != 0 ? 1 : 0)) {
+      throw InvalidArgument(
+          "DigitizingSink::append_words: word count does not match the "
+          "samples");
     }
-    planes_[i].append_words(
-        std::span<const std::uint64_t>(chunk_words_.data(), full));
-    pending_[i] = rem != 0 ? chunk_words_[full] : 0;
+  }
+  for (std::size_t i = 0; i < planes_.size(); ++i) {
+    planes_[i].append_words(planes[i].first(full));
+    // Masked: bits past `samples` must not leak into later appends.
+    pending_[i] =
+        rem != 0 ? planes[i][full] & ((std::uint64_t{1} << rem) - 1) : 0;
   }
   samples_ += samples;
   spill_chunks(false);

@@ -27,30 +27,19 @@ namespace glva::store {
 /// 64 comparisons in a pending register and commits whole BitStream words,
 /// one store per 64 samples instead of a read-modify-write per bit;
 /// `append_block` packs straight from the column spans, and
-/// `append_chunk` thresholds a stored chunk's RLE runs once per run. The
+/// `append_words` takes words a producer has already thresholded. The
 /// partial tail word is committed by `finish()`, so planes are complete
 /// only after the stream is finished.
 ///
 /// Replaying a stored `.glvt` into this sink resolves to
-/// `SpillReader::replay(DigitizingSink&)`, which decodes only the tracked
-/// columns, hands them over as runs or raw spans through `append_chunk`,
-/// and still validates every section of every chunk. Passed as a plain
-/// `TraceSink&`, the sink takes the generic decode-everything replay —
-/// the bit-identity reference for the run-level one.
+/// `SpillReader::replay(DigitizingSink&)`, which thresholds each tracked
+/// column section straight into words (`glvt::threshold_section`), hands
+/// them over chunk by chunk through `append_words`, and still validates
+/// every section of every chunk. Passed as a plain `TraceSink&`, the sink
+/// takes the generic decode-everything replay — the bit-identity
+/// reference for the run-level one.
 class DigitizingSink final : public TraceSink {
 public:
-  /// One column of a chunk handed to `append_chunk`: its samples as `raw`
-  /// doubles or, when `raw` is empty, as `runs` of equal values that tile
-  /// the chunk in order — the two shapes of a `.glvt` column section.
-  struct ChunkColumn {
-    struct Run {
-      std::size_t length = 0;
-      double value = 0.0;
-    };
-    std::span<const double> raw;
-    std::span<const Run> runs;
-  };
-
   /// Optional spill tee: when configured, the committed plane words are
   /// also streamed chunk-wise into a v2 bit-plane `.glvt` file (header
   /// `content_kind = kBits`, `kWords` sections — see `store/glvt.h`), so
@@ -89,18 +78,25 @@ public:
   void append_block(std::span<const double> times,
                     std::span<const std::span<const double>> series) override;
 
-  /// Commit one stored chunk of `samples` samples — the run-level path of
-  /// `SpillReader::replay(DigitizingSink&)`. `columns[s]` is species
-  /// column s; only the tracked ones are read (`tracked_columns()`), so
-  /// the rest may be left empty. A run's bit is `value >= threshold`,
-  /// computed once and filled as whole-word ranges; raw columns go
-  /// through the same block packer as `append_block`. Bit-identical to
-  /// `append_block` over the decoded columns, including the pending tail
-  /// word and the spill tee. Throws glva::InvalidArgument unless the
-  /// stream sits on a word boundary (every chunk but a file's last is a
-  /// multiple of 64 samples), `columns` covers the tracked columns, and
-  /// each tracked column holds exactly `samples` samples.
-  void append_chunk(std::size_t samples, std::span<const ChunkColumn> columns);
+  /// Reserve room for `samples` samples in every plane (call after
+  /// begin()), so a producer that knows the stream length sizes each
+  /// plane once instead of growing it chunk by chunk. The caller bounds
+  /// `samples`: `SpillReader` caps it by the file's size.
+  void reserve(std::size_t samples);
+
+  /// Commit `samples` samples already thresholded into words — the
+  /// word-level entry of `SpillReader::replay(DigitizingSink&)`.
+  /// `planes[i]` holds plane i's ceil(samples / 64) words, LSB-first (one
+  /// span may back several planes; bits past `samples` are ignored). The
+  /// whole words are appended, a ragged tail becomes the pending word,
+  /// and the spill tee streams what completes a chunk, exactly as for
+  /// the same samples through `append_block`. Throws
+  /// glva::InvalidArgument unless the stream sits on a word boundary
+  /// (every chunk but a file's last is a multiple of 64 samples),
+  /// `planes` has one span per plane, and each holds exactly
+  /// ceil(samples / 64) words.
+  void append_words(std::size_t samples,
+                    std::span<const std::span<const std::uint64_t>> planes);
 
   /// Commits the pending partial word of every plane; with the spill tee,
   /// also flushes the tail chunk, writes the chunk index, and finalizes
@@ -114,6 +110,8 @@ public:
   }
 
   [[nodiscard]] std::size_t sample_count() const noexcept { return samples_; }
+  /// The ADC threshold (ThVAL) every plane is digitized at.
+  [[nodiscard]] double threshold() const noexcept { return threshold_; }
   [[nodiscard]] const std::vector<std::string>& species_ids() const noexcept {
     return species_ids_;
   }
@@ -150,7 +148,6 @@ private:
   std::size_t min_row_width_ = 0;     ///< 1 + max(columns_), row precondition
   std::vector<logic::BitStream> planes_;
   std::vector<std::uint64_t> pending_;  ///< one partial word per plane
-  std::vector<std::uint64_t> chunk_words_;  ///< append_chunk scratch
   std::size_t samples_ = 0;  ///< total samples, committed + pending
   bool tail_committed_ = false;
 

@@ -1,7 +1,9 @@
 #include "store/glvt.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "logic/word_pack.h"
 #include "util/errors.h"
 
 namespace glva::store::glvt {
@@ -116,6 +118,93 @@ void decode_section_into(std::string_view buffer, std::size_t& offset,
         values.resize(count);
         std::memcpy(values.data(), payload.data(), payload.size());
       });
+}
+
+namespace {
+
+/// Appends ADC bits to a word vector: whole words as they complete, the
+/// partial last word on `finish`.
+class WordAppender {
+public:
+  explicit WordAppender(std::vector<std::uint64_t>& words) : words_(words) {}
+
+  /// Append `length` copies of one bit (`bits` all zeros or all ones):
+  /// whole-word stores for everything past the pending word.
+  void fill(std::size_t length, std::uint64_t bits) {
+    if (length < kWordBits - bit_) {  // ends inside the pending word
+      pending_ |= (bits & ((std::uint64_t{1} << length) - 1)) << bit_;
+      bit_ += length;
+      return;
+    }
+    words_.push_back(pending_ | bits << bit_);
+    length -= kWordBits - bit_;
+    if (length >= kWordBits) {
+      words_.insert(words_.end(), length / kWordBits, bits);
+    }
+    bit_ = length % kWordBits;
+    pending_ = bits & ((std::uint64_t{1} << bit_) - 1);
+  }
+
+  void finish() {
+    if (bit_ != 0) words_.push_back(pending_);
+  }
+
+private:
+  static constexpr std::size_t kWordBits = 64;
+  std::vector<std::uint64_t>& words_;
+  std::uint64_t pending_ = 0;  ///< the partial word the next bits continue
+  std::size_t bit_ = 0;        ///< bits already in `pending_`
+};
+
+}  // namespace
+
+void threshold_section(std::string_view buffer, std::size_t& offset,
+                       std::size_t count, double threshold,
+                       std::vector<std::uint64_t>& words) {
+  constexpr std::size_t kWordBits = 64;
+  WordAppender out(words);
+  // Consecutive runs on the same side of the threshold merge into one
+  // word-range fill, so a run costs one compare unless the bit flips.
+  std::uint64_t level = 0;  // the bit of the samples held back
+  std::size_t held = 0;     // samples at `level` not yet appended
+  walk_section(
+      buffer, offset, count,
+      [&](std::size_t, std::size_t length, double value) {
+        const std::uint64_t fill = value >= threshold ? ~std::uint64_t{0} : 0;
+        if (fill != level) {
+          out.fill(held, level);
+          level = fill;
+          held = 0;
+        }
+        held += length;
+      },
+      [&](std::string_view payload) {
+        // Copied out in batches: mapped payload bytes need not be 8-byte
+        // aligned.
+        constexpr std::size_t kBatchWords = 8;
+        double batch[kBatchWords * kWordBits];
+        const std::size_t full = count / kWordBits;
+        const std::size_t rem = count % kWordBits;
+        const std::size_t start = words.size();
+        words.resize(start + full + (rem != 0 ? 1 : 0));
+        std::uint64_t* dest = words.data() + start;
+        const logic::simd::KernelSet& kernels = logic::simd::active();
+        for (std::size_t w = 0; w < full;) {
+          const std::size_t take = std::min(kBatchWords, full - w);
+          std::memcpy(batch, payload.data() + w * kWordBits * sizeof(double),
+                      take * kWordBits * sizeof(double));
+          kernels.pack_threshold_block(batch, take, threshold, dest + w);
+          w += take;
+        }
+        if (rem != 0) {
+          std::memcpy(batch,
+                      payload.data() + full * kWordBits * sizeof(double),
+                      rem * sizeof(double));
+          dest[full] = logic::pack_threshold_bits(batch, rem, threshold);
+        }
+      });
+  out.fill(held, level);
+  out.finish();
 }
 
 std::vector<double> decode_section(std::string_view buffer,

@@ -139,18 +139,26 @@ void walk_section(std::string_view buffer, std::size_t& offset,
     on_raw(buffer.substr(offset, payload_end - offset));
     offset = payload_end;
   } else if (tag == static_cast<std::uint8_t>(SectionEncoding::kRle)) {
+    // Whole runs only, checked once: the loop then reads each run with no
+    // per-field bounds check.
+    constexpr std::size_t kRunBytes = sizeof(std::uint32_t) + sizeof(double);
+    if ((payload_end - offset) % kRunBytes != 0) {
+      throw StorageError("glvt section: payload size mismatch");
+    }
     std::size_t position = 0;
-    while (offset < payload_end) {
-      const auto run =
-          detail::read_pod<std::uint32_t>(buffer, offset, "glvt section");
-      const auto value =
-          detail::read_pod<double>(buffer, offset, "glvt section");
-      if (run == 0 || position + run > count) {
+    const char* const end = buffer.data() + payload_end;
+    for (const char* at = buffer.data() + offset; at != end; at += kRunBytes) {
+      std::uint32_t run = 0;
+      double value = 0.0;
+      std::memcpy(&run, at, sizeof run);
+      std::memcpy(&value, at + sizeof run, sizeof value);
+      if (run == 0 || run > count - position) {
         throw StorageError("glvt section: RLE run overflows sample count");
       }
       on_run(position, static_cast<std::size_t>(run), value);
       position += run;
     }
+    offset = payload_end;
     if (position != count) {
       throw StorageError("glvt section: RLE runs do not cover the chunk");
     }
@@ -161,6 +169,22 @@ void walk_section(std::string_view buffer, std::size_t& offset,
     throw StorageError("glvt section: payload size mismatch");
   }
 }
+
+/// Validate one column section of exactly `count` samples and append its
+/// ADC bits — bit j = (value_j >= threshold), the comparison of
+/// `core::adc`, so NaN reads 0 — to `words` as ceil(count / 64) words,
+/// LSB-first with zero tail bits; advances `offset` past the section. One
+/// pass, no decoded doubles: an RLE run costs one compare, runs on the
+/// same side of the threshold merge, and each change of the bit is one
+/// whole-word range fill; a raw section goes through the dispatched
+/// `pack_threshold_block` in batches. Built on `walk_section`, so it
+/// accepts and rejects exactly what `decode_section` does, with the same
+/// messages; `words` grows only as runs (or a raw payload) are validated,
+/// so a crafted `count` cannot allocate ahead of the bytes that back it.
+/// On a throw, `words` may hold part of the section.
+void threshold_section(std::string_view buffer, std::size_t& offset,
+                       std::size_t count, double threshold,
+                       std::vector<std::uint64_t>& words);
 
 /// Decode one section of exactly `count` doubles from `buffer` starting at
 /// `offset`; advances `offset` past the section. Throws glva::StorageError

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define GLVA_SPILL_MMAP 1
@@ -118,6 +119,11 @@ SpillReader::SpillReader(std::string path) : path_(std::move(path)) {
         "SpillReader: chunk samples do not cover the header count: " + path_);
   }
 
+  // Every name spends at least its 4-byte length: bound the reserve by
+  // the file before trusting the count with an allocation.
+  if (species_count > file_size / sizeof(std::uint32_t)) {
+    throw StorageError("SpillReader: corrupt species count: " + path_);
+  }
   species_names_.reserve(species_count);
   for (std::uint32_t s = 0; s < species_count; ++s) {
     const std::string len_bytes =
@@ -222,6 +228,22 @@ std::uint32_t SpillReader::open_chunk(std::size_t index, std::string_view bytes,
   return samples;
 }
 
+std::size_t SpillReader::plane_reserve_samples(std::size_t planes) const {
+  // The header count, capped at what the chunk index can hold and at one
+  // plane word per 8 bytes below the index, shared by all planes (a
+  // kWords payload spends exactly that): a crafted count, capacity or
+  // species count is then rejected by chunk_span/open_chunk, not by an
+  // oversized reserve. A trace that compresses better than that grows
+  // its planes as its chunks validate instead.
+  const std::uint64_t chunk_samples =
+      static_cast<std::uint64_t>(chunk_offsets_.size()) * chunk_capacity_;
+  const std::uint64_t byte_samples =
+      index_offset_ / sizeof(std::uint64_t) / std::max<std::size_t>(planes, 1) *
+      64;
+  return static_cast<std::size_t>(
+      std::min({sample_count_, chunk_samples, byte_samples}));
+}
+
 void SpillReader::require_content(glvt::ContentKind want,
                                   const char* api) const {
   if (content_kind_ == want) return;
@@ -287,13 +309,14 @@ void SpillReader::replay(TraceSink& sink) {
 void SpillReader::replay(DigitizingSink& sink) {
   require_content(glvt::ContentKind::kAnalog, "replay");
   sink.begin(species_names_);
-  std::vector<char> tracked(species_names_.size(), 0);
-  for (const std::size_t column : sink.tracked_columns()) tracked[column] = 1;
-  // Per-column buffers reused across chunks; untracked columns stay empty.
-  std::vector<DigitizingSink::ChunkColumn> columns(species_names_.size());
-  std::vector<std::vector<double>> raw(species_names_.size());
-  std::vector<std::vector<DigitizingSink::ChunkColumn::Run>> runs(
-      species_names_.size());
+  sink.reserve(plane_reserve_samples(sink.tracked_columns().size()));
+  // One word buffer per tracked column, reused across chunks (a column
+  // tracked twice is thresholded once and backs both planes).
+  const std::vector<std::size_t>& tracked = sink.tracked_columns();
+  std::vector<char> is_tracked(species_names_.size(), 0);
+  for (const std::size_t column : tracked) is_tracked[column] = 1;
+  std::vector<std::vector<std::uint64_t>> words(species_names_.size());
+  std::vector<std::span<const std::uint64_t>> planes(tracked.size());
   for (std::size_t c = 0; c < chunk_offsets_.size(); ++c) {
     const std::string_view bytes = chunk_bytes(c);
     std::size_t offset = 0;
@@ -302,32 +325,24 @@ void SpillReader::replay(DigitizingSink& sink) {
                              static_cast<std::uint64_t>(c) * chunk_capacity_,
                              sampling_period_, version_);
     for (std::size_t s = 0; s < species_names_.size(); ++s) {
-      if (tracked[s] == 0) {
+      if (is_tracked[s] == 0) {
         // Validated like every other section, then dropped.
         glvt::walk_section(
             bytes, offset, samples, [](std::size_t, std::size_t, double) {},
             [](std::string_view) {});
         continue;
       }
-      columns[s] = {};
-      runs[s].clear();
-      glvt::walk_section(
-          bytes, offset, samples,
-          [&](std::size_t, std::size_t length, double value) {
-            runs[s].push_back({length, value});
-          },
-          [&](std::string_view payload) {
-            // Copied out: mapped payload bytes need not be 8-byte aligned.
-            raw[s].resize(samples);
-            std::memcpy(raw[s].data(), payload.data(), payload.size());
-            columns[s].raw = raw[s];
-          });
-      if (columns[s].raw.empty()) columns[s].runs = runs[s];
+      words[s].clear();
+      glvt::threshold_section(bytes, offset, samples, sink.threshold(),
+                              words[s]);
     }
     if (offset != bytes.size()) {
       throw StorageError("SpillReader: trailing bytes in chunk: " + path_);
     }
-    sink.append_chunk(samples, columns);
+    for (std::size_t i = 0; i < tracked.size(); ++i) {
+      planes[i] = words[tracked[i]];
+    }
+    sink.append_words(samples, planes);
   }
   sink.finish();
 }
@@ -386,12 +401,8 @@ sim::Trace SpillReader::read_all() {
 
 std::vector<logic::BitStream> SpillReader::read_planes() {
   require_content(glvt::ContentKind::kBits, "read_planes");
-  // Sized from what the chunks can hold, not the header count alone: a
-  // hostile count is rejected by open_chunk, not by an oversized reserve.
-  const std::uint64_t chunk_samples =
-      static_cast<std::uint64_t>(chunk_offsets_.size()) * chunk_capacity_;
-  const auto total_words = static_cast<std::size_t>(
-      (std::min(sample_count_, chunk_samples) + 63) / 64);
+  const std::size_t total_words =
+      (plane_reserve_samples(species_names_.size()) + 63) / 64;
   std::vector<std::vector<std::uint64_t>> words(species_names_.size());
   for (auto& plane : words) plane.reserve(total_words);
 

@@ -108,14 +108,18 @@ public:
   /// what keeps it the bit-identity reference for the overload below.
   void replay(TraceSink& sink);
 
-  /// Run-level replay into the digitizer (begin → append_chunk per chunk
-  /// → finish), picked by overload resolution whenever the sink is
-  /// statically a `DigitizingSink`. Only the tracked columns are decoded:
-  /// an RLE run is thresholded once, however long, and a raw section is
-  /// block-packed; the time column is validated but never materialized,
-  /// and every untracked section is walked for validation only. A file
-  /// either of the two `replay`s rejects, the other rejects too, and the
-  /// planes are bit-identical to the generic path's.
+  /// Run-level replay into the digitizer (begin → reserve → append_words
+  /// per chunk → finish), picked by overload resolution whenever the sink
+  /// is statically a `DigitizingSink`. Each tracked column section is
+  /// validated and thresholded in one pass straight into plane words
+  /// (`glvt::threshold_section`: one compare and one word-range fill per
+  /// RLE run, block packing for raw sections), once per column however
+  /// many planes track it; no doubles are decoded. The planes are sized
+  /// once, up to `sample_count()` but never past what the file's bytes can
+  /// back. The time column is validated but never materialized, and every
+  /// untracked section is walked for validation only. A file either of
+  /// the two `replay`s rejects, the other rejects too, and the planes are
+  /// bit-identical to the generic path's.
   void replay(DigitizingSink& sink);
 
   /// Row-wise replay (begin → one append per sample → finish): the
@@ -157,6 +161,12 @@ private:
   [[nodiscard]] std::uint32_t open_chunk(std::size_t index,
                                          std::string_view bytes,
                                          std::size_t& offset) const;
+
+  /// How many samples each of `planes` planes may be presized to before
+  /// the chunks that back them are read: the header count, capped by the
+  /// chunk index and by the file's bytes (one 64-sample word per 8 bytes,
+  /// shared by all the planes).
+  [[nodiscard]] std::size_t plane_reserve_samples(std::size_t planes) const;
 
   /// Throw glva::StorageError unless the file's content kind is `want` —
   /// the analog/bit-plane API guard.

@@ -4,16 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/adc.h"
+#include "fuzz_util.h"
+#include "logic/word_pack.h"
 #include "math/expr_parser.h"
 #include "sbml/reader.h"
 #include "sbml/validate.h"
@@ -257,6 +262,38 @@ bool accepts(Replay&& replay) {
   return false;
 }
 
+/// File offset of the header's chunk capacity (u32, after species_count).
+constexpr std::size_t kChunkCapacityOffset = 28;
+
+/// A header sample count off by a little, or a huge one a presize must
+/// not trust.
+std::uint64_t mutated_sample_count(sim::Rng& rng, std::uint64_t count) {
+  switch (rng.below(3)) {
+    case 0:
+      return count + static_cast<std::uint64_t>(
+                         static_cast<std::int64_t>(rng.below(141)) - 70);
+    case 1:
+      return std::uint64_t{1} << (32 + rng.below(31));
+    default:
+      return count + (std::uint64_t{1} << 31) * (1 + rng.below(64));
+  }
+}
+
+/// A chunk capacity that breaks the layout (off by a word, not a word
+/// multiple, zero) or claims 2^31 samples per chunk.
+std::uint32_t mutated_capacity(sim::Rng& rng, std::uint32_t capacity) {
+  switch (rng.below(4)) {
+    case 0:
+      return rng.below(2) == 0 ? capacity + 64 : capacity - 64;
+    case 1:
+      return capacity + 1 + static_cast<std::uint32_t>(rng.below(63));
+    case 2:
+      return 0;
+    default:
+      return std::uint32_t{1} << 31;
+  }
+}
+
 TEST(Fuzz, GlvtReplaySurvivesMutatedFiles) {
   namespace glvt = store::glvt;
   const std::filesystem::path base_path =
@@ -313,7 +350,7 @@ TEST(Fuzz, GlvtReplaySurvivesMutatedFiles) {
     bool untracked_only = true;  // every mutation hit the times, B or C
     const std::size_t mutations = 1 + rng.below(2);
     for (std::size_t m = 0; m < mutations; ++m) {
-      switch (rng.below(6)) {
+      switch (rng.below(8)) {
         case 0: {  // a chunk-index offset
           const std::size_t at = index_offset + 8 * rng.below(chunk_count);
           poke(bytes, at, static_cast<std::uint64_t>(
@@ -350,10 +387,24 @@ TEST(Fuzz, GlvtReplaySurvivesMutatedFiles) {
           untracked_only = untracked_only && is_untracked(site);
           break;
         }
-        default: {  // a grid start time
+        case 5: {  // a grid start time
           const SectionSite& site = *pick(rng, glvt::SectionEncoding::kGrid);
           bytes[site.tag_at + 5 + rng.below(8)] ^=
               static_cast<char>(1u << rng.below(8));
+          break;
+        }
+        case 6: {  // the header sample count (what the planes presize to)
+          poke(bytes, glvt::kSampleCountOffset,
+               mutated_sample_count(
+                   rng, peek<std::uint64_t>(bytes, glvt::kSampleCountOffset)));
+          untracked_only = false;
+          break;
+        }
+        default: {  // the header chunk capacity
+          poke(bytes, kChunkCapacityOffset,
+               mutated_capacity(
+                   rng, peek<std::uint32_t>(bytes, kChunkCapacityOffset)));
+          untracked_only = false;
           break;
         }
       }
@@ -396,6 +447,326 @@ TEST(Fuzz, GlvtReplaySurvivesMutatedFiles) {
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(untracked_rejected, 0u);
+}
+
+// ------------------------------------------------ section thresholding
+
+/// The reference `threshold_section` must match: decode the section to
+/// doubles, then pack each 64-sample slice with `pack_threshold_bits`.
+std::vector<std::uint64_t> decode_then_pack(std::string_view buffer,
+                                            std::size_t& offset,
+                                            std::size_t count,
+                                            double threshold) {
+  const std::vector<double> values =
+      store::glvt::decode_section(buffer, offset, count);
+  std::vector<std::uint64_t> words;
+  for (std::size_t k = 0; k < count; k += 64) {
+    words.push_back(logic::pack_threshold_bits(
+        values.data() + k, std::min<std::size_t>(64, count - k), threshold));
+  }
+  return words;
+}
+
+/// `count` doubles in runs of 1..max_run equal values, each run drawn
+/// from `special_doubles` (NaN, ±inf, ±0.0, subnormals, the threshold and
+/// its neighbours): short runs make the encoder pick raw, long ones RLE.
+std::vector<double> run_shaped_doubles(std::size_t count, std::size_t max_run,
+                                       double threshold, sim::Rng& rng) {
+  std::vector<double> values;
+  values.reserve(count);
+  while (values.size() < count) {
+    const double value = testutil::special_doubles(1, threshold, rng)[0];
+    const std::size_t run = std::min<std::size_t>(
+        1 + rng.below(max_run), count - values.size());
+    values.insert(values.end(), run, value);
+  }
+  return values;
+}
+
+TEST(Fuzz, ThresholdSectionMatchesDecodeThenPack) {
+  namespace glvt = store::glvt;
+  const double thresholds[] = {15.0, std::numeric_limits<double>::denorm_min(),
+                               1e-310, std::numeric_limits<double>::infinity()};
+  sim::Rng rng(90007);
+  std::size_t raw_sections = 0;
+  std::size_t rle_sections = 0;
+  std::size_t mutants_accepted = 0;
+  std::size_t mutants_rejected = 0;
+  for (const std::size_t count : {1u, 63u, 64u, 65u, 4096u}) {
+    for (int trial = 0; trial < 24; ++trial) {
+      const double threshold = thresholds[rng.below(std::size(thresholds))];
+      const std::size_t max_run = trial % 3 == 0 ? 1 : 1 + rng.below(300);
+      // Three lead bytes leave the payload unaligned, as in a mapped chunk;
+      // trailing bytes must stay unread.
+      std::string section = "xyz";
+      glvt::encode_section(
+          run_shaped_doubles(count, max_run, threshold, rng), section);
+      section += "tail";
+      const auto encoding = static_cast<glvt::SectionEncoding>(section[3]);
+      (encoding == glvt::SectionEncoding::kRaw ? raw_sections : rle_sections)++;
+
+      for (const double at : thresholds) {
+        std::size_t want_offset = 3;
+        std::vector<std::uint64_t> want = {0xfeedu};
+        const std::vector<std::uint64_t> packed =
+            decode_then_pack(section, want_offset, count, at);
+        want.insert(want.end(), packed.begin(), packed.end());
+        std::size_t offset = 3;
+        std::vector<std::uint64_t> words = {0xfeedu};  // appended to, kept
+        glvt::threshold_section(section, offset, count, at, words);
+        EXPECT_EQ(words, want) << count << " samples, trial " << trial;
+        EXPECT_EQ(offset, want_offset) << count << " samples, trial " << trial;
+      }
+
+      // Mutated sections and wrong counts: both must accept and reject the
+      // same bytes, and agree bit for bit on what they accept.
+      for (int m = 0; m < 8; ++m) {
+        std::string mutant = section;
+        std::size_t mutant_count = count;
+        switch (rng.below(4)) {
+          case 0:
+            mutant[3] = static_cast<char>(rng.below(5));
+            break;
+          case 1:
+            poke(mutant, 4,
+                 static_cast<std::uint32_t>(peek<std::uint32_t>(mutant, 4) +
+                                            rng.below(33) - 16));
+            break;
+          case 2:
+            mutant_count = count + rng.below(3) - 1;
+            break;
+          default:
+            mutant[3 + 5 + rng.below(mutant.size() - 12)] ^=
+                static_cast<char>(1u << rng.below(8));
+            break;
+        }
+        std::size_t want_offset = 3;
+        std::vector<std::uint64_t> want;
+        const bool decoded = accepts([&] {
+          want = decode_then_pack(mutant, want_offset, mutant_count, threshold);
+        });
+        std::size_t offset = 3;
+        std::vector<std::uint64_t> words;
+        const bool thresholded = accepts([&] {
+          glvt::threshold_section(mutant, offset, mutant_count, threshold,
+                                  words);
+        });
+        ASSERT_EQ(decoded, thresholded) << count << " samples, trial " << trial;
+        if (!decoded) {
+          ++mutants_rejected;
+          continue;
+        }
+        ++mutants_accepted;
+        EXPECT_EQ(words, want) << count << " samples, trial " << trial;
+        EXPECT_EQ(offset, want_offset);
+      }
+    }
+  }
+  EXPECT_GT(raw_sections, 0u);
+  EXPECT_GT(rle_sections, 0u);
+  EXPECT_GT(mutants_accepted, 0u);
+  EXPECT_GT(mutants_rejected, 0u);
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  return bytes.str();
+}
+
+TEST(Fuzz, DigitizerReplayMatchesGenericReplay) {
+  // The run-level replay against the generic one over files whose last
+  // chunk holds 1, 63, 64, 65 or 4096 samples, with special values in
+  // raw and RLE sections, a duplicate tracked id, every species tracked,
+  // and the spill tee on: planes and tee bytes must be identical.
+  const std::vector<std::string> names = {"A", "B", "C", "GFP"};
+  const std::vector<std::vector<std::string>> tracked_sets = {
+      {"GFP", "A", "GFP"}, names};
+  const std::filesystem::path dir = ::testing::TempDir();
+  sim::Rng rng(90008);
+  for (const std::uint32_t capacity : {64u, 4096u}) {
+    for (const std::size_t last : {1u, 63u, 64u, 65u, 4096u}) {
+      if (last > capacity) continue;
+      const std::size_t samples = 2 * capacity + last;
+      const double threshold = rng.below(2) == 0
+                                   ? 15.0
+                                   : std::numeric_limits<double>::denorm_min();
+      const std::vector<std::vector<double>> columns = {
+          run_shaped_doubles(samples, 1, threshold, rng),
+          run_shaped_doubles(samples, 5, threshold, rng),
+          run_shaped_doubles(samples, 700, threshold, rng),
+          run_shaped_doubles(samples, 40, threshold, rng)};
+      const std::string tag =
+          std::to_string(capacity) + "_" + std::to_string(samples);
+      const std::filesystem::path path = dir / ("differential_" + tag + ".glvt");
+      {
+        store::SpillSink::Options options;
+        options.chunk_samples = capacity;
+        options.sampling_period = 0.5;
+        store::SpillSink sink(path.string(), options);
+        sink.begin(names);
+        std::vector<double> row(names.size());
+        for (std::size_t k = 0; k < samples; ++k) {
+          for (std::size_t s = 0; s < names.size(); ++s) row[s] = columns[s][k];
+          sink.append(static_cast<double>(k) * 0.5, row);
+        }
+        sink.finish();
+      }
+      store::SpillReader reader(path.string());
+      for (const auto& tracked : tracked_sets) {
+        const auto tee = [&](const std::string& kind) {
+          store::DigitizingSink::SpillOptions spill;
+          spill.path = (dir / ("differential_" + kind + "_" + tag + ".glvt"))
+                           .string();
+          spill.chunk_samples = 64;
+          return spill;
+        };
+        store::DigitizingSink runs(tracked, threshold, tee("runs"));
+        reader.replay(runs);
+        store::DigitizingSink generic(tracked, threshold, tee("generic"));
+        reader.replay(static_cast<store::TraceSink&>(generic));
+        ASSERT_EQ(runs.sample_count(), samples) << tag;
+        EXPECT_TRUE(runs.planes() == generic.planes()) << tag;
+        for (std::size_t p = 0; p < tracked.size(); ++p) {
+          const auto column = static_cast<std::size_t>(
+              std::find(names.begin(), names.end(), tracked[p]) -
+              names.begin());
+          EXPECT_EQ(runs.planes()[p], core::adc_packed(columns[column],
+                                                       threshold))
+              << tag << ", plane " << p;
+        }
+        EXPECT_TRUE(file_bytes(runs.spill_path()) ==
+                    file_bytes(generic.spill_path()))
+            << tag;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------ bit-plane files
+
+TEST(Fuzz, BitPlaneReadSurvivesMutatedFiles) {
+  // A 300-sample, 3-plane kWords file in 64-sample chunks, mutated in its
+  // header counts, chunk index and sections: read_planes and
+  // load_digitized accept it or throw StorageError/InvalidArgument —
+  // never bad_alloc, length_error or a crash (the test also runs under
+  // ASan, which aborts on an oversized allocation).
+  namespace glvt = store::glvt;
+  const std::filesystem::path base_path =
+      std::filesystem::path(::testing::TempDir()) / "fuzz_planes_base.glvt";
+  constexpr std::size_t kSamples = 300;
+  constexpr std::size_t kPlanes = 3;
+  constexpr double kThreshold = 15.0;
+  sim::Rng values_rng(90009);
+  {
+    store::DigitizingSink::SpillOptions spill;
+    spill.path = base_path.string();
+    spill.chunk_samples = 64;
+    store::DigitizingSink sink({"A", "B", "GFP"}, kThreshold, spill);
+    sink.begin({"A", "B", "GFP"});
+    std::vector<double> row(kPlanes);
+    for (std::size_t k = 0; k < kSamples; ++k) {
+      for (double& value : row) value = values_rng.uniform() * 30.0;
+      sink.append(static_cast<double>(k), row);
+    }
+    sink.finish();
+  }
+  const std::string base = file_bytes(base_path);
+  const auto index_offset = static_cast<std::size_t>(
+      peek<std::uint64_t>(base, glvt::kIndexOffsetOffset));
+  const auto chunk_count = static_cast<std::size_t>(
+      peek<std::uint64_t>(base, glvt::kChunkCountOffset));
+  std::vector<std::size_t> section_tags;
+  for (std::size_t c = 0; c < chunk_count; ++c) {
+    std::size_t at = static_cast<std::size_t>(
+                         peek<std::uint64_t>(base, index_offset + c * 8)) +
+                     8;
+    for (std::size_t p = 0; p < kPlanes; ++p) {
+      section_tags.push_back(at);
+      at += 5 + peek<std::uint32_t>(base, at + 1);
+    }
+  }
+  const auto delta = [](sim::Rng& rng, std::int64_t span) {
+    return static_cast<std::int64_t>(rng.below(2 * span + 1)) - span;
+  };
+
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "fuzz_planes_mutant.glvt";
+  sim::Rng rng(90010);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string bytes = base;
+    const std::size_t mutations = 1 + rng.below(2);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      switch (rng.below(6)) {
+        case 0:
+          poke(bytes, glvt::kSampleCountOffset,
+               mutated_sample_count(
+                   rng, peek<std::uint64_t>(bytes, glvt::kSampleCountOffset)));
+          break;
+        case 1:
+          poke(bytes, kChunkCapacityOffset,
+               mutated_capacity(rng,
+                                peek<std::uint32_t>(bytes, kChunkCapacityOffset)));
+          break;
+        case 2:
+          poke(bytes, glvt::kChunkCountOffset,
+               static_cast<std::uint64_t>(
+                   peek<std::uint64_t>(bytes, glvt::kChunkCountOffset) +
+                   delta(rng, 2)));
+          break;
+        case 3: {  // a chunk-index offset
+          const std::size_t at = index_offset + 8 * rng.below(chunk_count);
+          poke(bytes, at, static_cast<std::uint64_t>(
+                              peek<std::uint64_t>(bytes, at) + delta(rng, 16)));
+          break;
+        }
+        case 4:  // a section tag
+          bytes[section_tags[rng.below(section_tags.size())]] =
+              static_cast<char>(rng.below(5));
+          break;
+        default: {  // a payload length
+          const std::size_t at =
+              section_tags[rng.below(section_tags.size())] + 1;
+          poke(bytes, at, static_cast<std::uint32_t>(
+                              peek<std::uint32_t>(bytes, at) + delta(rng, 16)));
+          break;
+        }
+      }
+    }
+    {
+      std::ofstream file(path, std::ios::binary | std::ios::trunc);
+      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    std::optional<store::SpillReader> reader;
+    if (!accepts([&] { reader.emplace(path.string()); })) {
+      ++rejected;
+      continue;
+    }
+    std::vector<logic::BitStream> planes;
+    const bool read_ok = accepts([&] { planes = reader->read_planes(); });
+    core::PackedDigitalData loaded;
+    const bool load_ok = accepts(
+        [&] { loaded = core::load_digitized(*reader, kPlanes - 1, kThreshold); });
+    EXPECT_EQ(read_ok, load_ok) << "trial " << trial;
+    if (!read_ok) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(planes.size(), kPlanes) << "trial " << trial;
+    for (const logic::BitStream& plane : planes) {
+      EXPECT_EQ(plane.size(), reader->sample_count()) << "trial " << trial;
+    }
+    if (load_ok) {
+      EXPECT_EQ(loaded.output, planes[kPlanes - 1]) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Fuzz, DeeplyNestedXmlParsesOrFailsCleanly) {

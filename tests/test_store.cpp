@@ -19,6 +19,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__unix__)
+#include <sys/resource.h>
+#endif
+
 #include "circuits/circuit_repository.h"
 #include "core/adc.h"
 #include "core/ensemble.h"
@@ -338,6 +342,14 @@ TEST(Spill, RejectsOversizedHeaderFields) {
     huge_name[store::glvt::kHeaderFixedBytesV2 + b] = '\xff';
   }
   std::ofstream(path, std::ios::binary) << huge_name;
+  EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
+
+  // Nor may a species count of 0xFFFFFFFF reserve 4G names up front.
+  std::string huge_count = bytes;
+  for (std::size_t b = 0; b < 4; ++b) {
+    huge_count[24 + b] = '\xff';  // species_count sits after the period
+  }
+  std::ofstream(path, std::ios::binary) << huge_count;
   EXPECT_THROW(store::SpillReader{path.string()}, StorageError);
 }
 
@@ -829,6 +841,120 @@ TEST(BitPlaneSpill, RejectsCorruptWordsSection) {
   EXPECT_THROW((void)reader.read_planes(), StorageError);
 }
 
+/// A file whose header promises `chunks` chunks of 2^31 samples of
+/// `species` species while every index entry points at the one 64-sample
+/// chunk it holds (~0.6 KB at 64 chunks of one species): the planes must
+/// not be sized from the header before the chunks are read.
+void write_crafted_capacity_file(const fs::path& path,
+                                 store::glvt::ContentKind kind,
+                                 std::uint32_t species = 1,
+                                 std::uint64_t chunks = 64) {
+  namespace glvt = store::glvt;
+  constexpr std::uint32_t kCapacity = 1u << 31;
+  std::string bytes(glvt::kMagic, sizeof glvt::kMagic);
+  glvt::append_u32(bytes, glvt::kVersion);
+  glvt::append_u64(bytes, 0);    // seed
+  glvt::append_f64(bytes, 0.5);  // sampling period
+  glvt::append_u32(bytes, species);
+  glvt::append_u32(bytes, kCapacity);
+  glvt::append_u64(bytes, (chunks - 1) * kCapacity + 64);
+  glvt::append_u64(bytes, chunks);
+  glvt::append_u64(bytes, 0);  // index_offset, patched below
+  glvt::append_u32(bytes, static_cast<std::uint32_t>(kind));
+  glvt::append_f64(bytes, 15.0);
+  for (std::uint32_t s = 0; s < species; ++s) {
+    glvt::append_u32(bytes, 3);
+    bytes += "GFP";
+  }
+  const std::uint64_t chunk_offset = bytes.size();
+  glvt::append_u32(bytes, glvt::kChunkMagic);
+  glvt::append_u32(bytes, 64);
+  if (kind == glvt::ContentKind::kBits) {
+    const std::uint64_t word = ~std::uint64_t{0};
+    glvt::encode_words_section(&word, 1, bytes);
+  } else {
+    glvt::encode_time_section(std::vector<double>(64, 0.0), 0, 0.5, bytes);
+    glvt::encode_section(std::vector<double>(64, 20.0), bytes);
+  }
+  const std::uint64_t index_offset = bytes.size();
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    glvt::append_u64(bytes, chunk_offset);
+  }
+  std::string patch;
+  glvt::append_u64(patch, index_offset);
+  bytes.replace(glvt::kIndexOffsetOffset, patch.size(), patch);
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+/// Expect `read` to throw StorageError while the address space is capped
+/// at 4 GiB, so that an oversized reserve fails as std::bad_alloc on any
+/// host, however much memory it has or overcommits. The capped run forks
+/// (a death test); sanitizer builds reserve terabytes of shadow memory up
+/// front, so there `read` runs in process without the cap.
+#if defined(__unix__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define GLVA_CAPPED_ADDRESS_SPACE 1
+/// The death-test body: exit 0 when `read` throws StorageError under the
+/// cap, 1 on any other outcome.
+template <typename Read>
+[[noreturn]] void exit_zero_when_rejected_within_4gib(Read& read) {
+  const rlimit limit{rlim_t{4} << 30, rlim_t{4} << 30};
+  setrlimit(RLIMIT_AS, &limit);
+  try {
+    read();
+  } catch (const StorageError&) {
+    std::_Exit(0);
+  } catch (...) {
+  }
+  std::_Exit(1);
+}
+#endif
+
+template <typename Read>
+void expect_rejected_within_4gib(Read&& read) {
+#if defined(GLVA_CAPPED_ADDRESS_SPACE)
+  EXPECT_EXIT(exit_zero_when_rejected_within_4gib(read),
+              ::testing::ExitedWithCode(0), "");
+#else
+  EXPECT_THROW(read(), StorageError);
+#endif
+}
+
+TEST(BitPlaneSpill, CraftedChunkCapacityCannotReserveAheadOfTheChunks) {
+  // At 2^37 claimed samples a header-sized reserve asks for 16 GiB per
+  // plane and escapes as std::bad_alloc; the file must be rejected by
+  // the chunk-index check instead.
+  const fs::path path = temp_path("crafted_capacity_planes.glvt");
+  write_crafted_capacity_file(path, store::glvt::ContentKind::kBits);
+  expect_rejected_within_4gib(
+      [&] { (void)store::SpillReader(path.string()).read_planes(); });
+  expect_rejected_within_4gib([&] {
+    store::SpillReader reader(path.string());
+    (void)core::load_digitized(reader, 0, 15.0);
+  });
+
+  // Two chunks of 150000 species: a cap per plane would still reserve the
+  // file's size once per species, about 150 GB in all.
+  const fs::path wide = temp_path("crafted_capacity_wide.glvt");
+  write_crafted_capacity_file(wide, store::glvt::ContentKind::kBits, 150000,
+                              2);
+  expect_rejected_within_4gib(
+      [&] { (void)store::SpillReader(wide.string()).read_planes(); });
+
+  // The same layout as an analog file, replayed into the digitizer, whose
+  // planes are presized too.
+  const fs::path analog = temp_path("crafted_capacity_analog.glvt");
+  write_crafted_capacity_file(analog, store::glvt::ContentKind::kAnalog);
+  expect_rejected_within_4gib([&] {
+    store::DigitizingSink runs({"GFP", "GFP"}, 15.0);
+    store::SpillReader(analog.string()).replay(runs);
+  });
+  store::SpillReader analog_reader(analog.string());
+  store::DigitizingSink generic({"GFP"}, 15.0);
+  EXPECT_THROW(analog_reader.replay(static_cast<store::TraceSink&>(generic)),
+               StorageError);
+}
+
 // ------------------------------------------------------ async spill writer
 
 TEST(AsyncSpill, SyncEnvEscapeHatchWritesIdenticalBytes) {
@@ -925,31 +1051,35 @@ TEST(DigitizingSink, ValidatesArguments) {
   ok.begin({"A"});
   EXPECT_THROW((void)ok.take_plane(1), InvalidArgument);
 
-  // append_chunk: the tracked columns must be present and tile the chunk
-  // exactly, and a chunk must start on a word boundary.
-  using Column = store::DigitizingSink::ChunkColumn;
-  const std::vector<double> raw(64, 20.0);
-  const std::vector<Column::Run> short_runs = {{30, 20.0}};
-  const std::vector<Column::Run> long_runs = {{30, 20.0}, {40, 1.0}};
-  store::DigitizingSink chunked({"B"}, 15.0);
+  // append_words: one span per plane, each exactly ceil(samples / 64)
+  // words, and a chunk must start on a word boundary.
+  using Words = std::span<const std::uint64_t>;
+  const std::vector<std::uint64_t> words = {~std::uint64_t{0},
+                                            ~std::uint64_t{0}};
+  store::DigitizingSink chunked({"B", "B"}, 15.0);
   chunked.begin({"A", "B"});
-  std::vector<Column> columns(1);
-  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
-  columns.resize(2);
-  columns[1].runs = short_runs;
-  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
-  columns[1].runs = long_runs;
-  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
-  columns[1].runs = {};
-  columns[1].raw = std::span<const double>(raw).first(63);
-  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
-  columns[1].raw = std::span<const double>(raw).first(10);
-  chunked.append_chunk(10, columns);
-  columns[1].raw = raw;
-  EXPECT_THROW(chunked.append_chunk(64, columns), InvalidArgument);
+  std::vector<Words> planes(1, Words(words).first(1));
+  EXPECT_THROW(chunked.append_words(64, planes), InvalidArgument);
+  planes.push_back(Words(words));
+  EXPECT_THROW(chunked.append_words(64, planes), InvalidArgument);
+  planes[1] = planes[0];
+  EXPECT_THROW(chunked.append_words(65, planes), InvalidArgument);
+  chunked.append_words(10, planes);  // bits past the 10 samples are masked
+  EXPECT_THROW(chunked.append_words(64, planes), InvalidArgument);
   chunked.finish();
   EXPECT_EQ(chunked.planes()[0], core::adc_packed(std::vector<double>(10, 20.0),
                                                   15.0));
+  EXPECT_EQ(chunked.planes()[1], chunked.planes()[0]);
+
+  // A ragged tail's stray high bits do not leak into the row path that
+  // continues the pending word.
+  store::DigitizingSink mixed({"A"}, 15.0);
+  mixed.begin({"A"});
+  mixed.append_words(3, std::vector<Words>(1, Words(words).first(1)));
+  mixed.append(1.5, {0.0});
+  mixed.finish();
+  EXPECT_EQ(mixed.planes()[0],
+            core::adc_packed(std::vector<double>{20.0, 20.0, 20.0, 0.0}, 15.0));
 }
 
 // ------------------------------------------------- block-path equivalence
