@@ -5,11 +5,10 @@
 // measures end to end; each counter reports items/s in *samples*, so packed
 // and vector<bool> rows are directly comparable.
 //
-// The BM_kernel_* rows are registered once per available SIMD tier
-// (scalar/sse2/avx2/avx512), so one run shows the per-ISA throughput
-// ladder of every dispatched kernel. `--no-timings` skips the benchmark
-// harness entirely and prints a deterministic kernel fingerprint (pinned
-// by tests/golden/bench_bitstream_kernels.txt).
+// The BM_kernel_* rows time the word kernels of logic/word_kernels.h
+// directly, in whichever target clone this CPU resolves. `--no-timings`
+// skips the benchmark harness entirely and prints a deterministic kernel
+// fingerprint (pinned by tests/golden/bench_bitstream_kernels.txt).
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +19,7 @@
 
 #include "logic/bit_stream.h"
 #include "logic/combination_segments.h"
-#include "logic/simd/kernel_set.h"
+#include "logic/word_kernels.h"
 #include "sim/rng.h"
 
 namespace {
@@ -108,7 +107,7 @@ void BM_combination_segments(benchmark::State& state) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-// ---------------------------------------------- per-ISA-level kernel rows
+// ------------------------------------------------------ word-kernel rows
 
 constexpr std::size_t kKernelBits = 1'000'000;
 constexpr std::size_t kKernelWords = kKernelBits / 64;
@@ -122,52 +121,37 @@ std::vector<double> make_analog(std::size_t samples, std::uint64_t seed) {
   return values;
 }
 
-/// One BM_kernel_* row per (kernel, available ISA tier): the per-level
-/// throughput ladder of the dispatched analysis kernels, bypassing
-/// simd::active() so each row pins exactly one tier.
-void register_kernel_benchmarks() {
-  using logic::simd::KernelSet;
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    const std::string level = set->name;
-    benchmark::RegisterBenchmark(
-        ("BM_kernel_pack_threshold/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const std::vector<double> analog = make_analog(kKernelBits, 12);
-          std::vector<std::uint64_t> words(kKernelWords);
-          for (auto _ : state) {
-            set->pack_threshold_block(analog.data(), kKernelWords, 15.0,
-                                      words.data());
-            benchmark::DoNotOptimize(words.data());
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        ("BM_kernel_popcount/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const BitStream stream = make_stream(kKernelBits, 13);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(
-                set->popcount_words(stream.words().data(), kKernelWords));
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::RegisterBenchmark(
-        ("BM_kernel_transition_count/" + level).c_str(),
-        [set](benchmark::State& state) {
-          const BitStream stream = make_stream(kKernelBits, 16);
-          for (auto _ : state) {
-            benchmark::DoNotOptimize(set->transition_count_words(
-                stream.words().data(), kKernelWords, ~std::uint64_t{0}));
-          }
-          state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
-                                  static_cast<std::int64_t>(state.iterations()));
-        })
-        ->Unit(benchmark::kMicrosecond);
+void BM_kernel_pack_threshold(benchmark::State& state) {
+  const std::vector<double> analog = make_analog(kKernelBits, 12);
+  std::vector<std::uint64_t> words(kKernelWords);
+  for (auto _ : state) {
+    logic::pack_threshold_block(analog.data(), kKernelWords, 15.0,
+                                words.data());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_kernel_popcount(benchmark::State& state) {
+  const BitStream stream = make_stream(kKernelBits, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        logic::popcount_words(stream.words().data(), kKernelWords));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
+                          static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_kernel_transition_count(benchmark::State& state) {
+  const BitStream stream = make_stream(kKernelBits, 16);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(logic::transition_count_words(
+        stream.words().data(), kKernelWords, ~std::uint64_t{0}));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kKernelBits) *
+                          static_cast<std::int64_t>(state.iterations()));
 }
 
 // -------------------------------------------------- --no-timings golden
@@ -182,56 +166,25 @@ std::uint64_t fold_words(const std::vector<std::uint64_t>& words) {
 }
 
 /// Timing-free mode for the golden test: print the deterministic results
-/// of every dispatched kernel on a fixed input, then one agreement row per
-/// x86-64 baseline tier (scalar, sse2 — always present on the CI hosts the
-/// golden is pinned for; wider tiers are checked by test_simd_kernels on
-/// hosts that have them, so the golden bytes never depend on the CPU).
+/// of every counting kernel on a fixed input. The bytes do not depend on
+/// the CPU: every target clone computes the same bits.
 int run_no_timings() {
-  using logic::simd::IsaLevel;
-  using logic::simd::KernelSet;
-  const KernelSet* scalar = logic::simd::kernel_set(IsaLevel::kScalar);
-  if (scalar == nullptr) return 1;
-
   const std::vector<double> analog = make_analog(kKernelBits, 12);
   const BitStream a = make_stream(kKernelBits, 13);
 
   std::vector<std::uint64_t> packed(kKernelWords);
-  scalar->pack_threshold_block(analog.data(), kKernelWords, 15.0,
-                               packed.data());
+  logic::pack_threshold_block(analog.data(), kKernelWords, 15.0,
+                              packed.data());
   std::printf("bench_bitstream kernel fingerprint (%zu bits, seeds 12-14)\n",
               kKernelBits);
   std::printf("pack_threshold_block: %016llx\n",
               static_cast<unsigned long long>(fold_words(packed)));
   std::printf("popcount_words: %zu\n",
-              scalar->popcount_words(a.words().data(), kKernelWords));
+              logic::popcount_words(a.words().data(), kKernelWords));
   std::printf("transition_count_words: %zu\n",
-              scalar->transition_count_words(a.words().data(), kKernelWords,
-                                             ~std::uint64_t{0}));
-
-  int rc = 0;
-  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSSE2}) {
-    const KernelSet* set = logic::simd::kernel_set(level);
-    const char* name = logic::simd::isa_level_name(level);
-    if (set == nullptr) {
-      std::printf("%s: unavailable\n", name);
-      rc = 1;
-      continue;
-    }
-    std::vector<std::uint64_t> variant(kKernelWords);
-    set->pack_threshold_block(analog.data(), kKernelWords, 15.0,
-                              variant.data());
-    const bool ok =
-        variant == packed &&
-        set->popcount_words(a.words().data(), kKernelWords) ==
-            scalar->popcount_words(a.words().data(), kKernelWords) &&
-        set->transition_count_words(a.words().data(), kKernelWords,
-                                    ~std::uint64_t{0}) ==
-            scalar->transition_count_words(a.words().data(), kKernelWords,
-                                           ~std::uint64_t{0});
-    std::printf("%s: %s\n", name, ok ? "ok" : "MISMATCH");
-    if (!ok) rc = 1;
-  }
-  return rc;
+              logic::transition_count_words(a.words().data(), kKernelWords,
+                                            ~std::uint64_t{0}));
+  return 0;
 }
 
 }  // namespace
@@ -241,12 +194,14 @@ BENCHMARK(BM_popcount)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_popcount_vector_bool)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_bitwise_and)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_combination_segments)->Arg(1'000'000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_kernel_pack_threshold)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_kernel_popcount)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_kernel_transition_count)->Unit(benchmark::kMicrosecond);
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--no-timings") return run_no_timings();
   }
-  register_kernel_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -33,6 +33,7 @@
 //     O(1)-per-replicate memory bound made visible.
 
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,6 +44,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <system_error>
 
 #include "circuits/circuit_repository.h"
 #include "core/adc.h"
@@ -174,6 +176,19 @@ bool extractions_agree(const core::ExtractionResult& a,
   return true;
 }
 
+/// Removes a directory tree when it goes out of scope (the default spill
+/// directory, which belongs to this run); an empty path is left alone.
+struct RemoveOnExit {
+  std::filesystem::path path;
+  RemoveOnExit() = default;
+  RemoveOnExit(const RemoveOnExit&) = delete;
+  RemoveOnExit& operator=(const RemoveOnExit&) = delete;
+  ~RemoveOnExit() {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove_all(path, ignored);
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,7 +203,8 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "1", "simulation seed");
   cli.add_option("sink", "digitize", "mem | spill | digitize | all");
   cli.add_option("spill-dir", "",
-                 "directory for .glvt files (default: <tmp>/glva-trace-io)");
+                 "directory for .glvt files (default: a fresh directory "
+                 "under <tmp>, removed on exit)");
   cli.add_option("min-size-ratio", "0",
                  "fail (exit 1) when the v1/v2 spill size ratio falls below "
                  "this (0 = report only; the format section runs whenever "
@@ -225,9 +241,18 @@ int main(int argc, char** argv) {
   const double fov_ud = cli.get_double("fov-ud");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   std::string spill_dir = cli.get("spill-dir");
+  RemoveOnExit default_spill_dir;
   if (spill_dir.empty()) {
-    spill_dir = (std::filesystem::temp_directory_path() / "glva-trace-io")
-                    .string();
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "glva-trace-io-XXXXXX")
+            .string();
+    if (::mkdtemp(pattern.data()) == nullptr) {
+      std::cerr << "bench_trace_io: cannot create a spill directory under "
+                << std::filesystem::temp_directory_path() << "\n";
+      return 2;
+    }
+    spill_dir = pattern;
+    default_spill_dir.path = spill_dir;
   }
 
   const std::string sink_arg = cli.get("sink");

@@ -8,7 +8,6 @@
 #include "circuits/cello_circuits.h"
 #include "circuits/circuit_repository.h"
 #include "logic/quine_mccluskey.h"
-#include "logic/simd/kernel_set.h"
 #include "core/ensemble.h"
 #include "core/experiment.h"
 #include "core/report.h"
@@ -49,17 +48,12 @@ constexpr const char* kUsage =
     "  estimate <circuit>           estimate threshold and propagation delay\n"
     "  serve                        long-lived analysis daemon (see docs/SERVE.md)\n"
     "  stats                        fetch a running daemon's metrics snapshot\n"
-    "  version                      build, SIMD tier, and dispatch information\n"
+    "  version                      build information\n"
     "\n"
     "global options:\n"
     "  --jobs N                     worker threads for parallel workloads\n"
     "                               (0 = one per hardware thread; default 1;\n"
     "                               results are identical for every N)\n"
-    "  --simd LEVEL                 analysis kernel ISA: scalar | sse2 | avx2\n"
-    "                               | avx512 (default: widest the CPU "
-    "supports;\n"
-    "                               results are bit-identical at every "
-    "level)\n"
     "  --trace-out FILE             write a Chrome trace-event JSON of the\n"
     "                               run's stages to FILE (open in\n"
     "                               chrome://tracing or Perfetto)\n"
@@ -684,32 +678,6 @@ std::size_t extract_jobs_flag(std::vector<std::string>& args) {
   return jobs;
 }
 
-/// Strip the global `--simd LEVEL` / `--simd=LEVEL` flag out of `args` and
-/// pin the analysis kernel set to that ISA level. Throws
-/// glva::InvalidArgument on a missing value, an unknown level name, or a
-/// level this host cannot run. Takes precedence over the GLVA_SIMD
-/// environment variable (set_active wins over the lazy default resolve).
-void extract_simd_flag(std::vector<std::string>& args) {
-  for (std::size_t i = 0; i < args.size();) {
-    std::string value;
-    if (args[i] == "--simd") {
-      if (i + 1 >= args.size()) {
-        throw InvalidArgument("--simd: missing value");
-      }
-      value = args[i + 1];
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-                 args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    } else if (util::starts_with(args[i], "--simd=")) {
-      value = args[i].substr(7);
-      args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-      continue;
-    }
-    logic::simd::set_active(logic::simd::parse_isa_level(value));
-  }
-}
-
 /// Strip the global `--trace-out FILE` / `--trace-out=FILE` flag, returning
 /// the file path (empty when absent). Throws on a missing value.
 std::string extract_trace_out_flag(std::vector<std::string>& args) {
@@ -813,7 +781,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   try {
     std::vector<std::string> stripped = args;
     const std::size_t jobs = extract_jobs_flag(stripped);
-    extract_simd_flag(stripped);
     extract_log_level_flag(stripped);
     const std::string trace_path = extract_trace_out_flag(stripped);
 

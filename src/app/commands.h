@@ -23,7 +23,7 @@
 ///   serve [--listen h:p] [--unix path]    long-lived analysis daemon with
 ///                                         admission control + result cache
 ///                                         (docs/SERVE.md)
-///   version                               build + SIMD tier report
+///   version                               build report
 ///
 /// Shared analysis options: --threshold, --fov-ud, --total-time,
 /// --sampling-period, --seed, --sink (mem|spill|digitize),

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "logic/simd/kernel_set.h"
 #include "obs/metrics.h"
 
 // The build system injects these on this translation unit only (see
@@ -23,26 +22,10 @@ namespace glva::app {
 std::string version_string() { return std::string("glva ") + GLVA_VERSION; }
 
 std::string version_report() {
-  std::string compiled;
-  std::string runnable;
-  for (std::size_t i = 0; i < logic::simd::kIsaLevelCount; ++i) {
-    const auto level = static_cast<logic::simd::IsaLevel>(i);
-    const char* name = logic::simd::isa_level_name(level);
-    if (logic::simd::compiled_kernel_set(level) != nullptr) {
-      compiled += compiled.empty() ? name : std::string(" ") + name;
-    }
-    if (logic::simd::kernel_set(level) != nullptr) {
-      runnable += runnable.empty() ? name : std::string(" ") + name;
-    }
-  }
   std::string out;
   out += version_string() + "\n";
   out += std::string("build:       ") + GLVA_BUILD_TYPE + ", " +
          GLVA_CXX_COMPILER + ", C++20\n";
-  out += "simd tiers:  " + compiled + " (compiled); " + runnable +
-         " (runnable on this CPU)\n";
-  out += std::string("simd active: ") +
-         logic::simd::isa_level_name(logic::simd::active_level()) + "\n";
   out += std::string("metrics:     ") +
          (obs::metrics_enabled() ? "enabled"
                                  : "compiled out (GLVA_NO_METRICS)") +

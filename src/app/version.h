@@ -5,16 +5,14 @@
 /// Build identification for operability: the `glva version` command and
 /// the daemon's `status`/`version` responses report the same lines, so a
 /// load-bench record or a bug report always carries the environment it
-/// was measured in (version, build type, compiler, SIMD tiers).
+/// was measured in (version, build type, compiler, metrics switch).
 namespace glva::app {
 
 /// "glva <semver>" (e.g. "glva 0.1.0").
 [[nodiscard]] std::string version_string();
 
 /// Multi-line report: version, build configuration (build type, compiler,
-/// C++ standard), the SIMD kernel tiers compiled in / runnable on this
-/// CPU, and the active tier. The active-tier line reflects the dispatch
-/// state at call time (so `--simd` / GLVA_SIMD overrides show up).
+/// C++ standard), and whether the metrics registry is compiled in.
 [[nodiscard]] std::string version_report();
 
 }  // namespace glva::app

@@ -36,12 +36,11 @@ logic::BitStream adc_packed(const std::vector<double>& analog,
   std::vector<std::uint64_t> words((analog.size() + kWordBits - 1) /
                                    kWordBits);
   const double* samples = analog.data();
-  // One dispatched block call packs every full word (the active SIMD
-  // kernel compares 2/4/8 doubles per instruction); the ragged tail goes
-  // through the length-taking packer so no out-of-bounds doubles are read.
+  // One block call packs every full word (the v3 clone compares four
+  // doubles per instruction); the ragged tail goes through the
+  // length-taking packer so no out-of-bounds doubles are read.
   if (full_words > 0) {
-    logic::simd::active().pack_threshold_block(samples, full_words, threshold,
-                                               words.data());
+    logic::pack_threshold_block(samples, full_words, threshold, words.data());
   }
   const std::size_t base = full_words * kWordBits;
   if (base < analog.size()) {

@@ -34,7 +34,7 @@ namespace glva::core {
 
 /// Bit-packed digitization of one analog series: identical comparison and
 /// bit order as `adc`, but each group of 64 samples is assembled in a
-/// register (SIMD compare where available) and stored with one word write
+/// register (logic::pack_threshold_block) and stored with one word write
 /// instead of 64 `vector<bool>` proxy read-modify-writes — the entry
 /// point of the packed analysis path. Same precondition (threshold > 0,
 /// throws glva::InvalidArgument); postcondition: result.unpack() ==

@@ -2,7 +2,7 @@
 
 #include <bit>
 
-#include "logic/simd/kernel_set.h"
+#include "logic/word_kernels.h"
 #include "util/errors.h"
 
 namespace glva::logic {
@@ -111,13 +111,12 @@ void BitStream::set_word(std::size_t w, std::uint64_t value) {
 }
 
 std::size_t BitStream::popcount() const {
-  return simd::active().popcount_words(words_.data(), words_.size());
+  return popcount_words(words_.data(), words_.size());
 }
 
 std::size_t BitStream::transition_count() const {
   if (size_ < 2) return 0;
-  return simd::active().transition_count_words(words_.data(), words_.size(),
-                                               tail_mask());
+  return transition_count_words(words_.data(), words_.size(), tail_mask());
 }
 
 namespace {
@@ -149,8 +148,7 @@ std::size_t BitStream::popcount(std::size_t begin, std::size_t end) const {
   }
   return static_cast<std::size_t>(
              std::popcount(words_[first] & bit_span(lo, kWordBits - 1))) +
-         simd::active().popcount_words(words_.data() + first + 1,
-                                       last - first - 1) +
+         popcount_words(words_.data() + first + 1, last - first - 1) +
          static_cast<std::size_t>(std::popcount(words_[last] &
                                                 bit_span(0, hi)));
 }
@@ -170,7 +168,7 @@ std::size_t BitStream::transition_count(std::size_t begin,
   }
   // The kernel counts every position in (64·first, end); drop the ones at
   // or below `begin`, whose predecessor lies outside the range.
-  std::size_t count = simd::active().transition_count_words(
+  std::size_t count = transition_count_words(
       words_.data() + first, last - first + 1, bit_span(0, hi));
   if (lo != 0) {
     const std::uint64_t w = words_[first];

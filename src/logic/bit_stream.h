@@ -108,22 +108,21 @@ public:
   /// glva::InvalidArgument when w >= word_count().
   void set_word(std::size_t w, std::uint64_t value);
 
-  /// Number of 1-bits, counted word-parallel through the active SIMD
-  /// kernel set (simd::active(); may throw glva::InvalidArgument on the
-  /// first call when GLVA_SIMD names an unavailable level). O(size()/64).
+  /// Number of 1-bits, counted word-parallel (logic/word_kernels.h).
+  /// O(size()/64).
   [[nodiscard]] std::size_t popcount() const;
 
   /// Number of adjacent 0→1 / 1→0 transitions (the paper's O_Var counting
-  /// applied to the whole stream), word-parallel through the active SIMD
-  /// kernel set. O(size()/64).
+  /// applied to the whole stream), word-parallel (logic/word_kernels.h).
+  /// O(size()/64).
   [[nodiscard]] std::size_t transition_count() const;
 
   /// Range forms over the samples [begin, end) — the per-segment HIGH_O
   /// and O_Var counters of the analysis stage. popcount counts the
   /// 1-bits in the range; transition_count counts the samples k with
   /// begin < k < end that differ from sample k - 1, so a range never
-  /// sees a transition across its own edges. Both run on the same
-  /// dispatched kernels as the whole-stream forms; a range inside one
+  /// sees a transition across its own edges. Both run on the same word
+  /// kernels as the whole-stream forms; a range inside one
   /// word is a single masked popcount. Throw glva::InvalidArgument unless
   /// begin <= end <= size(). O((end - begin)/64 + 1).
   [[nodiscard]] std::size_t popcount(std::size_t begin, std::size_t end) const;

@@ -4,16 +4,14 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "logic/simd/kernel_set.h"
+#include "logic/word_kernels.h"
 
 /// The threshold word packers shared by the analysis-stage ADC
 /// (`core::adc_packed`) and the fused sampler→ADC sink
 /// (`store::DigitizingSink`). Lives in logic/ so both layers reuse one
-/// kernel without a core/ ↔ store/ dependency cycle. Since the SIMD
-/// dispatch layer landed, these are thin wrappers over the active
-/// `simd::KernelSet` — bulk producers should call
-/// `simd::active().pack_threshold_block` directly and amortize the
-/// dispatch over a whole batch of words.
+/// kernel without a core/ ↔ store/ dependency cycle. The one-word form is
+/// a thin wrapper over `pack_threshold_block` (logic/word_kernels.h);
+/// bulk producers call that directly over a whole batch of words.
 namespace glva::logic {
 
 /// Pack 64 consecutive threshold comparisons into one word, bit j =
@@ -28,7 +26,7 @@ inline std::uint64_t pack_threshold_word64(const double* samples,
                                            double threshold) {
   assert(samples != nullptr && "pack_threshold_word64: 64 doubles required");
   std::uint64_t word = 0;
-  simd::active().pack_threshold_block(samples, 1, threshold, &word);
+  pack_threshold_block(samples, 1, threshold, &word);
   return word;
 }
 

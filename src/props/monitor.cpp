@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "logic/simd/kernel_set.h"
+#include "logic/word_kernels.h"
 #include "util/errors.h"
 
 namespace glva::props {
@@ -24,8 +24,7 @@ public:
   Monitor(const PackedNamedPlanes& planes, std::size_t n)
       : planes_(planes),
         n_(n),
-        word_count_((n + 63) / 64),
-        kernels_(logic::simd::active()) {}
+        word_count_((n + 63) / 64) {}
 
   Words eval(const Property& p) {
     switch (p.kind) {
@@ -166,7 +165,7 @@ private:
     std::size_t covered = 1;
     while (covered < target) {
       const std::size_t shift = std::min(covered, target - covered);
-      kernels_.or_shift_down_words(v.data(), word_count_, shift, v.data());
+      logic::or_shift_down_words(v.data(), word_count_, shift, v.data());
       covered += shift;
     }
     return v;
@@ -182,7 +181,7 @@ private:
     std::size_t covered = 1;
     while (covered < target) {
       const std::size_t shift = std::min(covered, target - covered);
-      kernels_.and_shift_down_words(v.data(), word_count_, shift, v.data());
+      logic::and_shift_down_words(v.data(), word_count_, shift, v.data());
       covered += shift;
     }
     mask_tail(v);
@@ -197,7 +196,7 @@ private:
     Words shifted(word_count_);
     for (std::size_t m = 0; m < iterations; ++m) {
       std::fill(shifted.begin(), shifted.end(), 0);
-      kernels_.or_shift_down_words(q.data(), word_count_, 1, shifted.data());
+      logic::or_shift_down_words(q.data(), word_count_, 1, shifted.data());
       bool changed = false;
       for (std::size_t w = 0; w < word_count_; ++w) {
         const std::uint64_t next = q[w] | (p[w] & shifted[w]);
@@ -212,7 +211,7 @@ private:
   /// Constancy plane: eq[j] = (v[j] == v[j+1]), eq[n-1] = 1.
   Words eq_next(const Words& v) const {
     Words shifted(word_count_, 0);
-    kernels_.or_shift_down_words(v.data(), word_count_, 1, shifted.data());
+    logic::or_shift_down_words(v.data(), word_count_, 1, shifted.data());
     Words eq(word_count_);
     for (std::size_t w = 0; w < word_count_; ++w) eq[w] = ~(v[w] ^ shifted[w]);
     set_bit(eq, n_ - 1);
@@ -223,7 +222,7 @@ private:
   /// Constancy plane: eq[j] = (v[j] == v[j-1]), eq[0] = 1.
   Words eq_prev(const Words& v) const {
     Words shifted(word_count_, 0);
-    kernels_.or_shift_up_words(v.data(), word_count_, 1, shifted.data());
+    logic::or_shift_up_words(v.data(), word_count_, 1, shifted.data());
     mask_tail(shifted);
     Words eq(word_count_);
     for (std::size_t w = 0; w < word_count_; ++w) eq[w] = ~(v[w] ^ shifted[w]);
@@ -241,7 +240,7 @@ private:
     Words stable = suffix_all(eq_next(v));
     fill_tail_ones(stable);
     Words out(word_count_, ~std::uint64_t{0});
-    kernels_.and_shift_down_words(stable.data(), word_count_, k, out.data());
+    logic::and_shift_down_words(stable.data(), word_count_, k, out.data());
     mask_tail(out);
     return out;
   }
@@ -285,7 +284,7 @@ private:
     std::size_t covered = 1;
     while (covered < target) {
       const std::size_t shift = std::min(covered, target - covered);
-      kernels_.or_shift_up_words(e.data(), word_count_, shift, e.data());
+      logic::or_shift_up_words(e.data(), word_count_, shift, e.data());
       covered += shift;
     }
     mask_tail(e);
@@ -299,7 +298,6 @@ private:
   const PackedNamedPlanes& planes_;
   std::size_t n_;
   std::size_t word_count_;
-  const logic::simd::KernelSet& kernels_;
 };
 
 }  // namespace

@@ -20,7 +20,7 @@ struct PackedNamedPlanes {
 /// as `evaluate_reference`, but word-parallel on the packed planes —
 /// boolean combinators as word ops, G/F as carry-propagating suffix
 /// scans, the bounded windows as doubling shift/OR (shift/AND) cascades
-/// through the active simd::KernelSet, settle/noglitch from
+/// through the logic/word_kernels.h shift kernels, settle/noglitch from
 /// run-constancy scans and a morphological opening. Bit-identical to the
 /// reference by construction and pinned so by tests/test_props.cpp.
 /// See docs/PROPERTIES.md for the compilation sketch and cost model.

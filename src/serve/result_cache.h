@@ -14,7 +14,7 @@
 /// alias (a hash collision would silently serve the wrong circuit's
 /// report). What makes caching *sound* here is the repo-wide determinism
 /// contract: equal (circuit, config, seed) reproduces every output byte,
-/// for every jobs count and SIMD tier, so a cached body is
+/// for every jobs count and CPU, so a cached body is
 /// indistinguishable from a fresh execution.
 ///
 /// Eviction is LRU over a byte budget (key + body + bookkeeping

@@ -15,7 +15,6 @@
 #include <sstream>
 
 #include "app/version.h"
-#include "logic/simd/kernel_set.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/errors.h"
@@ -564,8 +563,6 @@ Json Server::status_json() const {
   const AdmissionController::Stats admission = admission_.stats();
   return Json::object_of({
       {"version", Json::of(app::version_string())},
-      {"simd_active",
-       Json::of(logic::simd::isa_level_name(logic::simd::active_level()))},
       {"jobs", Json::of_u64(pool_.thread_count())},
       {"requests",
        Json::object_of({

@@ -195,19 +195,18 @@ void DigitizingSink::append_block(
       k += m;
       if (samples_ % kWordBits == 0) commit_words();
     } else {
-      // Word-aligned bulk: one dispatched pack_threshold_block call fills
-      // each batch (64 comparisons per word, 2/4/8 doubles per compare on
-      // the SIMD tiers), committed to the plane with one bulk insert.
+      // Word-aligned bulk: one pack_threshold_block call fills each batch
+      // (64 comparisons per word), committed to the plane with one bulk
+      // insert.
       constexpr std::size_t kBatchWords = 64;  // 4096 samples per commit
       std::uint64_t batch[kBatchWords];
       const std::size_t words = (n - k) / kWordBits;
-      const logic::simd::KernelSet& kernels = logic::simd::active();
       for (std::size_t i = 0; i < columns_.size(); ++i) {
         const double* base = series[columns_[i]].data() + k;
         for (std::size_t w = 0; w < words;) {
           const std::size_t take = std::min(kBatchWords, words - w);
-          kernels.pack_threshold_block(base + w * kWordBits, take, threshold_,
-                                       batch);
+          logic::pack_threshold_block(base + w * kWordBits, take, threshold_,
+                                      batch);
           planes_[i].append_words(std::span<const std::uint64_t>(batch, take));
           w += take;
         }

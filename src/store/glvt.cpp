@@ -188,12 +188,11 @@ void threshold_section(std::string_view buffer, std::size_t& offset,
         const std::size_t start = words.size();
         words.resize(start + full + (rem != 0 ? 1 : 0));
         std::uint64_t* dest = words.data() + start;
-        const logic::simd::KernelSet& kernels = logic::simd::active();
         for (std::size_t w = 0; w < full;) {
           const std::size_t take = std::min(kBatchWords, full - w);
           std::memcpy(batch, payload.data() + w * kWordBits * sizeof(double),
                       take * kWordBits * sizeof(double));
-          kernels.pack_threshold_block(batch, take, threshold, dest + w);
+          logic::pack_threshold_block(batch, take, threshold, dest + w);
           w += take;
         }
         if (rem != 0) {

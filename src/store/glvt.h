@@ -176,8 +176,8 @@ void walk_section(std::string_view buffer, std::size_t& offset,
 /// LSB-first with zero tail bits; advances `offset` past the section. One
 /// pass, no decoded doubles: an RLE run costs one compare, runs on the
 /// same side of the threshold merge, and each change of the bit is one
-/// whole-word range fill; a raw section goes through the dispatched
-/// `pack_threshold_block` in batches. Built on `walk_section`, so it
+/// whole-word range fill; a raw section goes through
+/// `logic::pack_threshold_block` in batches. Built on `walk_section`, so it
 /// accepts and rejects exactly what `decode_section` does, with the same
 /// messages; `words` grows only as runs (or a raw payload) are validated,
 /// so a crafted `count` cannot allocate ahead of the bytes that back it.

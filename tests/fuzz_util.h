@@ -209,7 +209,7 @@ inline std::size_t naive_combination(
 
 /// The block sizes streaming fuzz cuts deliveries into: single rows,
 /// one-off-word boundaries, exact words, a whole chunk, and a ragged
-/// cycle. Shared by the sink block-path tests and the SIMD batch tests.
+/// cycle. Shared by the sink block-path tests and the word-kernel tests.
 inline const std::vector<std::vector<std::size_t>>& block_slicings() {
   static const std::vector<std::vector<std::size_t>> kSlicings = {
       {1}, {63}, {64}, {65}, {4096}, {1, 7, 64, 65, 3, 256, 31}};

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "app/commands.h"
-#include "logic/simd/kernel_set.h"
 #include "sbml/reader.h"
 #include "sbol/sbol_io.h"
 
@@ -216,28 +215,6 @@ TEST(Cli, EstimatePrintsThresholdAndDelay) {
   EXPECT_EQ(result.code, 0);
   EXPECT_NE(result.out.find("threshold estimate"), std::string::npos);
   EXPECT_NE(result.out.find("recommended hold"), std::string::npos);
-}
-
-TEST(Cli, SimdFlagForcesScalarKernelsAndMatchesDefault) {
-  // Restore the process-wide dispatch level on exit so later tests see
-  // the host default again (every tier is bit-identical, but the guard
-  // keeps this test order-independent).
-  const auto saved = glva::logic::simd::active_level();
-  const auto baseline =
-      run({"verify", "myers_not", "--total-time", "200", "--seed", "4"});
-  const auto scalar = run({"verify", "myers_not", "--total-time", "200",
-                           "--seed", "4", "--simd", "scalar"});
-  glva::logic::simd::set_active(saved);
-  EXPECT_EQ(scalar.code, baseline.code);
-  EXPECT_EQ(scalar.out.substr(0, scalar.out.find("timing:")),
-            baseline.out.substr(0, baseline.out.find("timing:")));
-}
-
-TEST(Cli, UnknownSimdLevelIsUsageError) {
-  const auto result =
-      run({"verify", "myers_not", "--total-time", "100", "--simd", "avx1024"});
-  EXPECT_EQ(result.code, 2);
-  EXPECT_NE(result.err.find("unknown SIMD level"), std::string::npos);
 }
 
 TEST(Cli, MissingSubcommandArgumentIsUsageError) {

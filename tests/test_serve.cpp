@@ -625,7 +625,6 @@ TEST(ServeEndToEnd, StatusAndVersionOps) {
       server.dispatch(Json::object_of({{"op", Json::of("version")}}).dump()));
   ASSERT_TRUE(version.ok);
   EXPECT_NE(version.body.find("glva "), std::string::npos);
-  EXPECT_NE(version.body.find("simd active:"), std::string::npos);
 }
 
 TEST(ServeEndToEnd, StatsOpReturnsMetricsSnapshot) {
@@ -846,12 +845,10 @@ TEST(ServeSocket, OversizeFrameGetsProtocolErrorAndHangup) {
 // CLI surface
 // ---------------------------------------------------------------------------
 
-TEST(Cli, VersionReportsBuildAndSimd) {
+TEST(Cli, VersionReportsBuild) {
   const std::string out = cli_stdout({"version"}, 0);
   EXPECT_NE(out.find("glva "), std::string::npos);
   EXPECT_NE(out.find("build:"), std::string::npos);
-  EXPECT_NE(out.find("simd tiers:"), std::string::npos);
-  EXPECT_NE(out.find("simd active:"), std::string::npos);
 }
 
 TEST(Cli, SweepRunsAndReportsRecovery) {

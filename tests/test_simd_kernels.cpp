@@ -1,39 +1,38 @@
-// Conformance harness for the runtime-dispatched SIMD kernel layer
-// (src/logic/simd/): every compiled-in, CPU-supported kernel variant is
-// fuzzed bit-for-bit against the scalar reference tier — ragged tails,
-// misaligned pointers, NaN/±inf/-0.0/threshold-equal doubles — then the
-// whole analysis pipeline is re-run under each forced level and must
-// reproduce the scalar verdict, PFoBE, and FOV fingerprints exactly.
-// CI additionally forces GLVA_SIMD=scalar/sse2 through the full suite and
-// runs this binary under GLVA_SIMD=avx2/avx512 where the runner supports
-// them (.github/workflows/ci.yml).
+// The word-kernel suite (src/logic/word_kernels.{h,cpp}). Every kernel is
+// checked against a naive oracle — lengths 0/1/63/64/65/4095/4096/4097,
+// misaligned pointers, dst == src aliasing, dirty bits above the tail
+// mask, NaN/±inf/±0/threshold-equal doubles — twice:
+//  - "library": the functions in glva_core, i.e. whichever target clone
+//    this CPU resolves (x86-64-v3 on AVX2 hosts);
+//  - "baseline": the same source compiled into this binary a second time
+//    with the clone attribute off, at the build's baseline ISA — the
+//    `default` clone's code, which AVX2 hosts would otherwise never run.
+// The kernels' callers (BitStream counts, adc_packed, the word packers)
+// are then checked once through the library.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
-#include "circuits/circuit_repository.h"
 #include "core/adc.h"
-#include "core/ensemble.h"
-#include "core/experiment.h"
 #include "fuzz_util.h"
 #include "logic/bit_stream.h"
-#include "logic/simd/kernel_set.h"
+#include "logic/word_kernels.h"
 #include "logic/word_pack.h"
 #include "sim/rng.h"
-#include "store/trace_sink.h"
-#include "util/errors.h"
+
+// The baseline copy: glva::logic::baseline::*, no target_clones.
+#define GLVA_WORD_KERNELS_BASELINE
+#include "logic/word_kernels.cpp"  // NOLINT(bugprone-suspicious-include)
 
 namespace {
 
 using namespace glva;
 using logic::BitStream;
-using logic::simd::IsaLevel;
-using logic::simd::KernelSet;
 using testutil::naive_popcount;
 using testutil::naive_transitions;
 using testutil::random_bools;
@@ -42,186 +41,124 @@ using testutil::special_doubles;
 
 constexpr double kThreshold = 15.0;
 
-/// The reference tier every variant is checked against. Always present:
-/// the scalar TU has no ISA guard.
-const KernelSet& scalar_ref() {
-  const KernelSet* set = logic::simd::kernel_set(IsaLevel::kScalar);
-  EXPECT_NE(set, nullptr);
-  return *set;
-}
+/// The lengths every kernel is swept over (words, or samples for the
+/// per-sample forms): empty, single, and either side of 64 and of 4096.
+const std::vector<std::size_t> kLengths = {0,  1,    63,   64,
+                                           65, 4095, 4096, 4097};
 
-/// Restore the entry state of the dispatch table around tests that force
-/// levels, so suite order never leaks a forced level into other tests.
-class ActiveLevelGuard {
-public:
-  ActiveLevelGuard() : saved_(logic::simd::active_level()) {}
-  ~ActiveLevelGuard() { logic::simd::set_active(saved_); }
-  ActiveLevelGuard(const ActiveLevelGuard&) = delete;
-  ActiveLevelGuard& operator=(const ActiveLevelGuard&) = delete;
+using ShiftKernel = void (*)(const std::uint64_t*, std::size_t, std::size_t,
+                             std::uint64_t*);
 
-private:
-  IsaLevel saved_;
+/// One build of the kernel source.
+struct Kernels {
+  const char* name;
+  void (*pack_threshold_block)(const double*, std::size_t, double,
+                               std::uint64_t*);
+  std::size_t (*popcount_words)(const std::uint64_t*, std::size_t);
+  std::size_t (*transition_count_words)(const std::uint64_t*, std::size_t,
+                                        std::uint64_t);
+  ShiftKernel or_shift_down_words;
+  ShiftKernel and_shift_down_words;
+  ShiftKernel or_shift_up_words;
 };
+
+const Kernels kLibrary = {
+    "library",
+    &logic::pack_threshold_block,
+    &logic::popcount_words,
+    &logic::transition_count_words,
+    &logic::or_shift_down_words,
+    &logic::and_shift_down_words,
+    &logic::or_shift_up_words,
+};
+
+const Kernels kBaseline = {
+    "baseline",
+    &logic::baseline::pack_threshold_block,
+    &logic::baseline::popcount_words,
+    &logic::baseline::transition_count_words,
+    &logic::baseline::or_shift_down_words,
+    &logic::baseline::and_shift_down_words,
+    &logic::baseline::or_shift_up_words,
+};
+
+// gtest names a failing case by its build.
+void PrintTo(const Kernels& kernels, std::ostream* os) { *os << kernels.name; }
 
 std::uint64_t tail_mask_for(std::size_t bits) {
   const std::size_t rem = bits % BitStream::kWordBits;
   return rem == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << rem) - 1);
 }
 
-// -------------------------------------------------------- dispatch table
-
-TEST(SimdDispatch, LevelNamesRoundTrip) {
-  for (const IsaLevel level : {IsaLevel::kScalar, IsaLevel::kSSE2,
-                               IsaLevel::kAVX2, IsaLevel::kAVX512}) {
-    EXPECT_EQ(logic::simd::parse_isa_level(logic::simd::isa_level_name(level)),
-              level);
+/// The first `bits` bits of `words`, LSB-first.
+std::vector<bool> unpack(const std::uint64_t* words, std::size_t bits) {
+  std::vector<bool> out(bits);
+  for (std::size_t k = 0; k < bits; ++k) {
+    out[k] = ((words[k / 64] >> (k % 64)) & 1U) != 0;
   }
-  EXPECT_THROW((void)logic::simd::parse_isa_level("avx1024"), InvalidArgument);
-  EXPECT_THROW((void)logic::simd::parse_isa_level(""), InvalidArgument);
-  EXPECT_THROW((void)logic::simd::parse_isa_level("SSE2"), InvalidArgument);
+  return out;
 }
 
-TEST(SimdDispatch, ScalarTierIsAlwaysAvailable) {
-  EXPECT_TRUE(logic::simd::cpu_supports(IsaLevel::kScalar));
-  ASSERT_NE(logic::simd::compiled_kernel_set(IsaLevel::kScalar), nullptr);
-  ASSERT_NE(logic::simd::kernel_set(IsaLevel::kScalar), nullptr);
-}
+class WordKernels : public ::testing::TestWithParam<Kernels> {};
 
-TEST(SimdDispatch, AvailableSetsAreOrderedAndSelfConsistent) {
-  const auto sets = logic::simd::available_kernel_sets();
-  ASSERT_FALSE(sets.empty());
-  EXPECT_EQ(sets.front()->level, IsaLevel::kScalar);
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    ASSERT_NE(sets[i], nullptr);
-    EXPECT_STREQ(sets[i]->name, logic::simd::isa_level_name(sets[i]->level));
-    EXPECT_EQ(logic::simd::kernel_set(sets[i]->level), sets[i]);
-    if (i > 0) {
-      EXPECT_GT(sets[i]->level, sets[i - 1]->level);
-    }
-    // A complete table: no null entry may ever reach a caller.
-    EXPECT_NE(sets[i]->pack_threshold_block, nullptr);
-    EXPECT_NE(sets[i]->popcount_words, nullptr);
-    EXPECT_NE(sets[i]->transition_count_words, nullptr);
-    EXPECT_NE(sets[i]->or_shift_down_words, nullptr);
-    EXPECT_NE(sets[i]->and_shift_down_words, nullptr);
-    EXPECT_NE(sets[i]->or_shift_up_words, nullptr);
-  }
-}
-
-TEST(SimdDispatch, SetActiveRoundTripsEveryAvailableLevel) {
-  ActiveLevelGuard guard;
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    logic::simd::set_active(set->level);
-    EXPECT_EQ(logic::simd::active_level(), set->level);
-    EXPECT_EQ(&logic::simd::active(), set);
-  }
-}
-
-TEST(SimdDispatch, SetActiveRejectsUnavailableLevels) {
-  ActiveLevelGuard guard;
-  bool found_unavailable = false;
-  for (const IsaLevel level : {IsaLevel::kSSE2, IsaLevel::kAVX2,
-                               IsaLevel::kAVX512}) {
-    if (logic::simd::kernel_set(level) == nullptr) {
-      found_unavailable = true;
-      EXPECT_THROW(logic::simd::set_active(level), InvalidArgument);
-    }
-  }
-  if (!found_unavailable) {
-    GTEST_SKIP() << "every compiled tier is supported by this CPU";
-  }
-}
-
-// --------------------------------------------- kernel-level conformance
-
-TEST(SimdKernels, PackThresholdBlockMatchesScalarOnSpecialValues) {
+TEST_P(WordKernels, PackThresholdBlockMatchesComparison) {
+  const Kernels& k = GetParam();
   sim::Rng rng(101);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    for (const std::size_t words : {1u, 2u, 3u, 8u, 64u, 65u}) {
-      // +8 doubles of slack so every offset misaligns the vector loads
-      // without reading past the buffer.
-      const std::vector<double> buffer =
-          special_doubles(words * 64 + 8, kThreshold, rng);
-      for (const std::size_t offset : {0u, 1u, 3u, 7u}) {
-        std::vector<std::uint64_t> expected(words, 0xDEADBEEFu);
-        std::vector<std::uint64_t> actual(words, 0xFEEDFACEu);
-        scalar_ref().pack_threshold_block(buffer.data() + offset, words,
-                                          kThreshold, expected.data());
-        set->pack_threshold_block(buffer.data() + offset, words, kThreshold,
-                                  actual.data());
-        EXPECT_EQ(actual, expected)
-            << set->name << ", words " << words << ", offset " << offset;
+  for (const std::size_t words : kLengths) {
+    // +8 doubles of slack so every offset misaligns the vector loads
+    // without reading past the buffer.
+    const std::vector<double> buffer =
+        special_doubles(words * 64 + 8, kThreshold, rng);
+    for (const std::size_t offset : {0u, 1u, 3u, 7u}) {
+      const double* samples = buffer.data() + offset;
+      // One sentinel word past the end: the kernel writes exactly `words`.
+      std::vector<std::uint64_t> out(words + 1, 0xFEEDFACEu);
+      k.pack_threshold_block(samples, words, kThreshold, out.data());
+      ASSERT_EQ(out[words], 0xFEEDFACEu) << "words " << words;
+      for (std::size_t j = 0; j < words * 64; ++j) {
+        const bool expected = samples[j] >= kThreshold;
+        const bool actual = ((out[j / 64] >> (j % 64)) & 1U) != 0;
+        ASSERT_EQ(actual, expected)
+            << "words " << words << ", offset " << offset << ", sample " << j
+            << " = " << samples[j];
       }
     }
   }
 }
 
-TEST(SimdKernels, PackThresholdBlockMatchesScalarComparisonSemantics) {
-  // Ground truth, independent of any kernel: bit j == (samples[j] >= th).
-  sim::Rng rng(103);
-  const std::vector<double> samples = special_doubles(256, kThreshold, rng);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    std::vector<std::uint64_t> words(4);
-    set->pack_threshold_block(samples.data(), 4, kThreshold, words.data());
-    for (std::size_t k = 0; k < 256; ++k) {
-      const bool expected = samples[k] >= kThreshold;
-      const bool actual = ((words[k / 64] >> (k % 64)) & 1U) != 0;
-      ASSERT_EQ(actual, expected)
-          << set->name << ", sample " << k << " = " << samples[k];
-    }
-  }
-}
-
-TEST(SimdKernels, PopcountKernelMatchesScalarAcrossLengthsAndAlignment) {
+TEST_P(WordKernels, PopcountMatchesNaiveAcrossLengthsAndAlignment) {
+  const Kernels& k = GetParam();
   sim::Rng rng(107);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 63u, 64u, 65u}) {
-      const std::vector<std::uint64_t> a = random_words(n + 1, rng);
-      for (const std::size_t offset : {0u, 1u}) {  // +8 bytes breaks vector
-        EXPECT_EQ(set->popcount_words(a.data() + offset, n),      // alignment
-                  scalar_ref().popcount_words(a.data() + offset, n))
-            << set->name << ", n " << n << ", offset " << offset;
-      }
+  for (const std::size_t n : kLengths) {
+    const std::vector<std::uint64_t> a = random_words(n + 1, rng);
+    for (const std::size_t offset : {0u, 1u}) {  // +8 bytes breaks vector
+      const std::uint64_t* words = a.data() + offset;  // alignment
+      EXPECT_EQ(k.popcount_words(words, n),
+                naive_popcount(unpack(words, n * 64)))
+          << "n " << n << ", offset " << offset;
     }
   }
 }
 
-TEST(SimdKernels, TransitionCountMatchesScalarAndNaiveAcrossTails) {
+TEST_P(WordKernels, TransitionCountMatchesNaiveAcrossTails) {
+  // Random words everywhere, so the bits above the tail mask are dirty:
+  // the range forms of BitStream::transition_count hand the kernel a word
+  // window whose last word still holds samples past the range.
+  const Kernels& k = GetParam();
   sim::Rng rng(109);
-  for (const std::size_t bits :
-       {1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 4095u, 4096u, 4097u}) {
-    const std::vector<bool> reference = random_bools(bits, rng);
-    const BitStream stream = BitStream::pack(reference);
-    const std::uint64_t tail = tail_mask_for(bits);
-    const std::size_t expected = naive_transitions(reference);
-    ASSERT_EQ(scalar_ref().transition_count_words(stream.words().data(),
-                                                  stream.word_count(), tail),
-              expected)
-        << "scalar reference diverged from naive, bits " << bits;
-    for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-      EXPECT_EQ(set->transition_count_words(stream.words().data(),
-                                            stream.word_count(), tail),
-                expected)
-          << set->name << ", bits " << bits;
-    }
+  std::vector<std::size_t> bit_lengths = {2, 31, 127, 128, 129};
+  for (const std::size_t n : kLengths) {
+    if (n != 0) bit_lengths.push_back(n);
+    if (n > 1) bit_lengths.push_back(n * 64);  // a full last word
   }
-}
-
-TEST(SimdKernels, TransitionCountIgnoresBitsAboveTheTailMask) {
-  // The range forms of BitStream::transition_count hand the kernel a word
-  // window whose last word still holds samples past the range: every tier
-  // must mask them off exactly like the scalar reference.
-  sim::Rng rng(113);
-  for (const std::size_t n : {1u, 2u, 8u, 9u, 17u, 65u}) {
-    const std::vector<std::uint64_t> words = random_words(n, rng);
-    for (const std::size_t valid : {1u, 2u, 31u, 63u, 64u}) {
-      const std::uint64_t tail = tail_mask_for(valid);
-      const std::size_t expected =
-          scalar_ref().transition_count_words(words.data(), n, tail);
-      for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-        EXPECT_EQ(set->transition_count_words(words.data(), n, tail), expected)
-            << set->name << ", n " << n << ", valid " << valid;
-      }
+  for (const std::size_t bits : bit_lengths) {
+    const std::size_t n = (bits + 63) / 64;
+    const std::vector<std::uint64_t> a = random_words(n + 1, rng);
+    for (const std::size_t offset : {0u, 1u}) {
+      const std::uint64_t* words = a.data() + offset;
+      EXPECT_EQ(k.transition_count_words(words, n, tail_mask_for(bits)),
+                naive_transitions(unpack(words, bits)))
+          << "bits " << bits << ", offset " << offset;
     }
   }
 }
@@ -229,27 +166,27 @@ TEST(SimdKernels, TransitionCountIgnoresBitsAboveTheTailMask) {
 // The shift-combine kernels' executable spec: per-bit over the 64n-bit
 // array, with out-of-range view bits reading 0 for the OR forms and 1
 // for the AND form.
-enum class ShiftKernel { kOrDown, kAndDown, kOrUp };
+enum class ShiftKind { kOrDown, kAndDown, kOrUp };
 
 std::vector<std::uint64_t> naive_shift_combine(
     const std::vector<std::uint64_t>& src,
     const std::vector<std::uint64_t>& dst, std::size_t shift,
-    ShiftKernel kernel) {
+    ShiftKind kind) {
   const std::size_t bits = src.size() * 64;
   std::vector<std::uint64_t> out = dst;
   for (std::size_t j = 0; j < bits; ++j) {
     bool view;
-    if (kernel == ShiftKernel::kOrUp) {
+    if (kind == ShiftKind::kOrUp) {
       view = j >= shift && ((src[(j - shift) / 64] >> ((j - shift) % 64)) &
                             1U) != 0;
     } else {
       const std::size_t k = j + shift;
       view = k < bits ? ((src[k / 64] >> (k % 64)) & 1U) != 0
-                      : kernel == ShiftKernel::kAndDown;
+                      : kind == ShiftKind::kAndDown;
     }
     const bool current = ((out[j / 64] >> (j % 64)) & 1U) != 0;
-    const bool combined = kernel == ShiftKernel::kAndDown ? (current && view)
-                                                          : (current || view);
+    const bool combined = kind == ShiftKind::kAndDown ? (current && view)
+                                                      : (current || view);
     if (combined) {
       out[j / 64] |= std::uint64_t{1} << (j % 64);
     } else {
@@ -259,9 +196,43 @@ std::vector<std::uint64_t> naive_shift_combine(
   return out;
 }
 
-TEST(SimdKernels, ShiftCombineKernelsMatchNaiveIncludingAliasing) {
+/// Runs `kernel` on copies of `src`/`dst` placed `offset` words into
+/// buffers filled with guard words (`offset` before, one after), checks
+/// the guards, and returns the n result words. With `aliased`, `dst` is ignored and the
+/// kernel runs in place on the copy of `src`.
+std::vector<std::uint64_t> run_shift(ShiftKernel kernel,
+                                     const std::vector<std::uint64_t>& src,
+                                     const std::vector<std::uint64_t>& dst,
+                                     std::size_t shift, std::size_t offset,
+                                     bool aliased) {
+  constexpr std::uint64_t kGuard = 0x5A5A5A5A5A5A5A5Au;
+  const std::size_t n = src.size();
+  std::vector<std::uint64_t> src_buf(n + offset + 1, kGuard);
+  std::vector<std::uint64_t> dst_buf(n + offset + 1, kGuard);
+  std::copy(src.begin(), src.end(), src_buf.begin() + offset);
+  std::copy(dst.begin(), dst.end(), dst_buf.begin() + offset);
+  std::vector<std::uint64_t>& out_buf = aliased ? src_buf : dst_buf;
+  kernel(src_buf.data() + offset, n, shift, out_buf.data() + offset);
+  EXPECT_EQ(out_buf.back(), kGuard) << "wrote past the end";
+  if (offset != 0) {
+    EXPECT_EQ(out_buf.front(), kGuard) << "wrote before dst";
+  }
+  return {out_buf.begin() + offset, out_buf.end() - 1};
+}
+
+TEST_P(WordKernels, ShiftCombineKernelsMatchNaiveIncludingAliasing) {
+  const Kernels& k = GetParam();
   sim::Rng rng(131);
-  for (const std::size_t words : {1u, 2u, 5u, 8u, 9u, 65u}) {
+  const struct {
+    ShiftKind kind;
+    ShiftKernel kernel;
+    const char* name;
+  } cases[] = {
+      {ShiftKind::kOrDown, k.or_shift_down_words, "or_shift_down"},
+      {ShiftKind::kAndDown, k.and_shift_down_words, "and_shift_down"},
+      {ShiftKind::kOrUp, k.or_shift_up_words, "or_shift_up"},
+  };
+  for (const std::size_t words : kLengths) {
     for (const std::size_t shift :
          {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{63},
           std::size_t{64}, std::size_t{65}, std::size_t{127},
@@ -269,233 +240,79 @@ TEST(SimdKernels, ShiftCombineKernelsMatchNaiveIncludingAliasing) {
           words * 64 + 7}) {
       const std::vector<std::uint64_t> src = random_words(words, rng);
       const std::vector<std::uint64_t> dst = random_words(words, rng);
-      const struct {
-        ShiftKernel kind;
-        void (*kernel)(const std::uint64_t*, std::size_t, std::size_t,
-                       std::uint64_t*);
-        const char* name;
-      } cases[] = {
-          {ShiftKernel::kOrDown, scalar_ref().or_shift_down_words,
-           "or_shift_down"},
-          {ShiftKernel::kAndDown, scalar_ref().and_shift_down_words,
-           "and_shift_down"},
-          {ShiftKernel::kOrUp, scalar_ref().or_shift_up_words,
-           "or_shift_up"},
-      };
       for (const auto& c : cases) {
         const std::vector<std::uint64_t> expected =
             naive_shift_combine(src, dst, shift, c.kind);
-        for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-          const auto kernel = c.kind == ShiftKernel::kOrDown
-                                  ? set->or_shift_down_words
-                                  : c.kind == ShiftKernel::kAndDown
-                                        ? set->and_shift_down_words
-                                        : set->or_shift_up_words;
-          std::vector<std::uint64_t> actual = dst;
-          kernel(src.data(), words, shift, actual.data());
-          EXPECT_EQ(actual, expected)
-              << set->name << " " << c.name << ", words " << words
-              << ", shift " << shift;
-          // The in-place cascade case: dst aliases src exactly.
-          std::vector<std::uint64_t> aliased = src;
-          kernel(aliased.data(), words, shift, aliased.data());
-          EXPECT_EQ(aliased, naive_shift_combine(src, src, shift, c.kind))
-              << set->name << " " << c.name << " aliased, words " << words
-              << ", shift " << shift;
+        // The in-place cascade case: dst aliases src exactly.
+        const std::vector<std::uint64_t> expected_aliased =
+            naive_shift_combine(src, src, shift, c.kind);
+        for (const std::size_t offset : {0u, 1u}) {
+          EXPECT_EQ(run_shift(c.kernel, src, dst, shift, offset, false),
+                    expected)
+              << c.name << ", words " << words << ", shift " << shift
+              << ", offset " << offset;
+          EXPECT_EQ(run_shift(c.kernel, src, dst, shift, offset, true),
+                    expected_aliased)
+              << c.name << " aliased, words " << words << ", shift " << shift
+              << ", offset " << offset;
         }
       }
     }
   }
 }
 
-// -------------------------------------- BitStream/ADC under forced levels
+INSTANTIATE_TEST_SUITE_P(Builds, WordKernels,
+                         ::testing::Values(kLibrary, kBaseline),
+                         [](const ::testing::TestParamInfo<Kernels>& info) {
+                           return std::string(info.param.name);
+                         });
 
-TEST(SimdForcedLevels, BitStreamCountsMatchNaiveUnderEveryLevel) {
-  ActiveLevelGuard guard;
+// ------------------------------------------------ the kernels' callers
+
+TEST(WordKernelCallers, BitStreamCountsMatchNaive) {
   sim::Rng rng(131);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    logic::simd::set_active(set->level);
-    for (const std::size_t n : {0u, 1u, 63u, 64u, 65u, 4095u, 4097u}) {
-      const std::vector<bool> ra = random_bools(n, rng);
-      const BitStream a = BitStream::pack(ra);
-      EXPECT_EQ(a.popcount(), naive_popcount(ra)) << set->name << " n " << n;
-      EXPECT_EQ(a.transition_count(), naive_transitions(ra))
-          << set->name << " n " << n;
-      // A range spanning several words on both ends (the per-segment
-      // counters' multi-word case).
-      const std::size_t begin = n / 3;
-      const std::size_t end = n - n / 5;
-      const std::vector<bool> range(ra.begin() + static_cast<long>(begin),
-                                    ra.begin() + static_cast<long>(end));
-      EXPECT_EQ(a.popcount(begin, end), naive_popcount(range))
-          << set->name << " n " << n;
-      EXPECT_EQ(a.transition_count(begin, end), naive_transitions(range))
-          << set->name << " n " << n;
-    }
+  for (const std::size_t n : kLengths) {
+    const std::vector<bool> ra = random_bools(n, rng);
+    const BitStream a = BitStream::pack(ra);
+    EXPECT_EQ(a.popcount(), naive_popcount(ra)) << "n " << n;
+    EXPECT_EQ(a.transition_count(), naive_transitions(ra)) << "n " << n;
+    // A range spanning several words on both ends (the per-segment
+    // counters' multi-word case).
+    const std::size_t begin = n / 3;
+    const std::size_t end = n - n / 5;
+    const std::vector<bool> range(ra.begin() + static_cast<long>(begin),
+                                  ra.begin() + static_cast<long>(end));
+    EXPECT_EQ(a.popcount(begin, end), naive_popcount(range)) << "n " << n;
+    EXPECT_EQ(a.transition_count(begin, end), naive_transitions(range))
+        << "n " << n;
   }
 }
 
-TEST(SimdForcedLevels, AdcPackedMatchesReferenceAdcUnderEveryLevel) {
-  ActiveLevelGuard guard;
+TEST(WordKernelCallers, AdcPackedMatchesReferenceAdc) {
   sim::Rng rng(137);
-  for (const std::size_t n : {1u, 63u, 64u, 65u, 257u, 4096u}) {
+  for (const std::size_t n : kLengths) {
     const std::vector<double> analog = special_doubles(n, kThreshold, rng);
-    const std::vector<bool> expected = core::adc(analog, kThreshold);
-    for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-      logic::simd::set_active(set->level);
-      EXPECT_EQ(core::adc_packed(analog, kThreshold).unpack(), expected)
-          << set->name << ", n " << n;
-    }
+    EXPECT_EQ(core::adc_packed(analog, kThreshold).unpack(),
+              core::adc(analog, kThreshold))
+        << "n " << n;
   }
 }
 
-TEST(SimdForcedLevels, WordPackersMatchScalarComparison) {
-  ActiveLevelGuard guard;
+TEST(WordKernelCallers, WordPackersMatchScalarComparison) {
   sim::Rng rng(139);
   const std::vector<double> samples = special_doubles(64, kThreshold, rng);
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    logic::simd::set_active(set->level);
-    std::uint64_t expected = 0;
-    for (std::size_t j = 0; j < 64; ++j) {
-      expected |= static_cast<std::uint64_t>(samples[j] >= kThreshold) << j;
-    }
-    EXPECT_EQ(logic::pack_threshold_word64(samples.data(), kThreshold),
-              expected)
-        << set->name;
-    for (const std::size_t count : {0u, 1u, 31u, 63u, 64u}) {
-      const std::uint64_t mask =
-          count == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << count) - 1);
-      EXPECT_EQ(
-          logic::pack_threshold_bits(samples.data(), count, kThreshold),
-          expected & mask)
-          << set->name << ", count " << count;
-    }
+  std::uint64_t expected = 0;
+  for (std::size_t j = 0; j < 64; ++j) {
+    expected |= static_cast<std::uint64_t>(samples[j] >= kThreshold) << j;
   }
-}
-
-// ------------------------------------------- statistics tier (pipeline)
-
-/// Bit-exact rendering of a double (text formatting could hide ULP drift).
-std::string bits_of(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  std::ostringstream out;
-  out << std::hex << bits;
-  return out.str();
-}
-
-/// Everything verdict-bearing an experiment produced, ULP-exact.
-std::string fingerprint(const core::ExperimentResult& result) {
-  std::ostringstream out;
-  out << result.extraction.extracted().to_bits() << '|'
-      << bits_of(result.extraction.fitness()) << '|'
-      << result.verification.matches << '|'
-      << result.verification.wrong_state_count();
-  for (const auto& record : result.extraction.variation.records) {
-    out << '|' << record.combination << ':' << record.case_count << ':'
-        << record.high_count << ':' << record.variation_count << ':'
-        << bits_of(record.fov_est);
-  }
-  return out.str();
-}
-
-std::string fingerprint(const core::EnsembleResult& ensemble) {
-  std::ostringstream out;
-  out << ensemble.majority_logic.to_bits() << '|' << ensemble.majority_matches
-      << '|' << ensemble.match_count << '|' << bits_of(ensemble.pfobe.mean)
-      << '|' << bits_of(ensemble.pfobe.stddev) << '|'
-      << bits_of(ensemble.wrong_states.mean);
-  for (const auto& stats : ensemble.combination_stats) {
-    out << '|' << stats.combination << ':' << stats.high_votes << ':'
-        << bits_of(stats.fov_mean) << ':' << bits_of(stats.fov_stddev);
-  }
-  return out.str();
-}
-
-std::vector<std::size_t> case_counts(const core::ExperimentResult& result) {
-  std::vector<std::size_t> counts;
-  for (const auto& record : result.extraction.variation.records) {
-    counts.push_back(record.case_count);
-  }
-  return counts;
-}
-
-/// Pearson chi-square of observed per-combination case counts against the
-/// scalar run's counts as the expected distribution (combinations the
-/// scalar run never visited must stay unvisited).
-double case_count_chi_square(const std::vector<std::size_t>& observed,
-                             const std::vector<std::size_t>& expected) {
-  EXPECT_EQ(observed.size(), expected.size());
-  double chi2 = 0.0;
-  for (std::size_t c = 0; c < observed.size(); ++c) {
-    const double obs = static_cast<double>(observed[c]);
-    const double exp = static_cast<double>(expected[c]);
-    if (exp == 0.0) {
-      EXPECT_EQ(obs, 0.0) << "combination " << c;
-      continue;
-    }
-    chi2 += (obs - exp) * (obs - exp) / exp;
-  }
-  return chi2;
-}
-
-core::ExperimentConfig fast_config() {
-  core::ExperimentConfig config;
-  config.total_time = 400.0;
-  config.seed = 99;
-  return config;
-}
-
-TEST(SimdStatistics, ExperimentVerdictsAreBitIdenticalAcrossLevels) {
-  ActiveLevelGuard guard;
-  const auto spec = circuits::CircuitRepository::build("myers_and");
-
-  logic::simd::set_active(IsaLevel::kScalar);
-  const auto baseline = core::run_experiment(spec, fast_config());
-  const std::string expected = fingerprint(baseline);
-  const std::vector<std::size_t> expected_counts = case_counts(baseline);
-
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    logic::simd::set_active(set->level);
-    const auto result = core::run_experiment(spec, fast_config());
-    EXPECT_EQ(fingerprint(result), expected) << set->name;
-    // Same samples, same classification: the case-count distribution is
-    // not merely statistically compatible but exactly the scalar one.
-    EXPECT_EQ(case_count_chi_square(case_counts(result), expected_counts),
-              0.0)
-        << set->name;
-  }
-}
-
-TEST(SimdStatistics, DigitizingSinkPipelineIsBitIdenticalAcrossLevels) {
-  ActiveLevelGuard guard;
-  const auto spec = circuits::CircuitRepository::build("myers_and");
-  core::ExperimentConfig config = fast_config();
-  config.sink = store::SinkKind::kDigitize;
-
-  logic::simd::set_active(IsaLevel::kScalar);
-  const std::string expected = fingerprint(core::run_experiment(spec, config));
-
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    logic::simd::set_active(set->level);
-    EXPECT_EQ(fingerprint(core::run_experiment(spec, config)), expected)
-        << set->name;
-  }
-}
-
-TEST(SimdStatistics, EnsembleFingerprintIsBitIdenticalAcrossLevels) {
-  ActiveLevelGuard guard;
-  const auto spec = circuits::CircuitRepository::build("myers_nand");
-
-  logic::simd::set_active(IsaLevel::kScalar);
-  const auto baseline = core::run_ensemble(spec, fast_config(), 3, 2);
-  const std::string expected = fingerprint(baseline);
-
-  for (const KernelSet* set : logic::simd::available_kernel_sets()) {
-    logic::simd::set_active(set->level);
-    const auto ensemble = core::run_ensemble(spec, fast_config(), 3, 2);
-    EXPECT_EQ(fingerprint(ensemble), expected) << set->name;
+  EXPECT_EQ(logic::pack_threshold_word64(samples.data(), kThreshold),
+            expected);
+  for (const std::size_t count : {0u, 1u, 31u, 63u, 64u}) {
+    const std::uint64_t mask =
+        count == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << count) - 1);
+    EXPECT_EQ(logic::pack_threshold_bits(samples.data(), count, kThreshold),
+              expected & mask)
+        << "count " << count;
   }
 }
 

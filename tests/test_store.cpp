@@ -1132,7 +1132,7 @@ private:
 
 // The block sizes the fuzz slices streams into (single rows, one-off-word
 // boundaries, exact words, a whole chunk, a ragged cycle) — shared with
-// the SIMD conformance suite through tests/fuzz_util.h.
+// the word-kernel suite through tests/fuzz_util.h.
 const std::vector<std::vector<std::size_t>>& kBlockSlicings =
     testutil::block_slicings();
 
